@@ -39,6 +39,17 @@ def median(values):
     return statistics.median(values)
 
 
+def fastest_round(op_walls_by_round):
+    """Seconds of one round with every op at its fastest repeat.
+
+    `op_walls_by_round` holds, per round, the wall of each op (a
+    fork) in order; every round repeats the same ops. The host can
+    only slow an op down, so an op's fastest repeat is the closest
+    to its own cost.
+    """
+    return sum(min(op) for op in zip(*op_walls_by_round, strict=True))
+
+
 def self_times(spans):
     """Total and self seconds per span name.
 

@@ -5,7 +5,7 @@
  * its last stdout line. perfbench/run.py builds and runs it, turns
  * the record into metrics, and checks correctness.
  *
- *   tempest_perfbench <paper_sweep|cmp_3d|serve_mixed>
+ *   tempest_perfbench <paper_sweep|serve_mixed>
  *       --seed N --seconds S [--trace 0|1] [--trace-out FILE]
  *       [--schedule FILE]
  */
@@ -35,6 +35,8 @@ main(int argc, char** argv)
     // 11.6-11.8 MB.
     mallopt(M_ARENA_MAX, 1);
     mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+    // Fix the usable CPU set before any workload pins a thread.
+    usableCpus();
     Args args;
     args.workload = argv[1];
     for (int i = 2; i + 1 < argc; i += 2) {
@@ -58,8 +60,6 @@ main(int argc, char** argv)
     try {
         if (args.workload == "paper_sweep")
             return runPaperSweep(args);
-        if (args.workload == "cmp_3d")
-            return runCmp3d(args);
         if (args.workload == "serve_mixed")
             return runServeMixed(args);
     } catch (const std::exception& e) {

@@ -126,15 +126,21 @@ addFailure(Round& round, const Fork& f, const char* what)
     round.digest = fnv1a64(&h, sizeof(h), round.digest);
 }
 
-/** One untraced pass over every fork (the measured region). */
+/**
+ * One untraced pass over every fork (the measured region). Fork i
+ * of round k runs on usable CPU i + k, so each fork's repeats land
+ * on different CPUs.
+ */
 Round
 untracedRound(const std::vector<Fork>& forks,
-              const std::vector<Snapshot>& snaps)
+              const std::vector<Snapshot>& snaps, std::size_t k)
 {
     Round round;
     const double t0 = now();
-    for (const Fork& f : forks) {
+    for (std::size_t i = 0; i < forks.size(); ++i) {
+        const Fork& f = forks[i];
         const Snapshot& s = snaps[f.snapshot];
+        rotateCpu(i + k);
         const double f0 = now();
         try {
             addResult(round, experiments::runFromSnapshot(
@@ -377,6 +383,7 @@ runPaperSweep(const Args& args)
     SpanLog log;
     SpanLog* tlog = args.trace ? &log : nullptr;
     for (int rep = 0; rep < kSetupReps; ++rep) {
+        rotateCpu(static_cast<std::size_t>(rep));
         const double t0 = now();
         for (Snapshot& s : snaps) {
             std::string bytes = experiments::warmSnapshot(
@@ -421,11 +428,11 @@ runPaperSweep(const Args& args)
         }
     }
 
-    std::vector<Round> rounds;
-    const double start = now();
-    do {
-        rounds.push_back(untracedRound(forks, snaps));
-    } while (!args.trace && now() - start < args.seconds);
+    // Traced runs need one untraced round, the reference.
+    const std::vector<Round> rounds =
+        repeatRounds(args.trace ? 0.0 : args.seconds, [&](std::size_t k) {
+            return untracedRound(forks, snaps, k);
+        });
 
     JsonOut out;
     out.str("workload", "paper_sweep")

@@ -1,10 +1,14 @@
 #include "report.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <stdexcept>
+
+#include <sched.h>
 
 namespace perfbench
 {
@@ -154,17 +158,14 @@ addDtm(tempest::DtmStats& sum, const tempest::DtmStats& s)
 }
 
 JsonOut
-dtmJson(const tempest::DtmStats& end, const tempest::DtmStats& start)
+dtmJson(const tempest::DtmStats& s)
 {
     JsonOut j;
-    j.num("global_stalls", end.globalStalls - start.globalStalls)
-        .num("iq_toggles", end.iqToggles - start.iqToggles)
-        .num("throttle_events",
-             end.fetchThrottleEvents - start.fetchThrottleEvents)
-        .num("alu_turnoffs",
-             end.aluTurnoffEvents - start.aluTurnoffEvents)
-        .num("regfile_turnoffs",
-             end.regfileTurnoffEvents - start.regfileTurnoffEvents);
+    j.num("global_stalls", s.globalStalls)
+        .num("iq_toggles", s.iqToggles)
+        .num("throttle_events", s.fetchThrottleEvents)
+        .num("alu_turnoffs", s.aluTurnoffEvents)
+        .num("regfile_turnoffs", s.regfileTurnoffEvents);
     return j;
 }
 
@@ -178,6 +179,43 @@ peakRssKb()
             return std::stoull(line.substr(6));
     }
     return 0;
+}
+
+const std::vector<int>&
+usableCpus()
+{
+    static const std::vector<int> cpus = [] {
+        cpu_set_t set;
+        std::vector<int> v;
+        if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+            for (int c = 0; c < CPU_SETSIZE; ++c) {
+                if (CPU_ISSET(c, &set))
+                    v.push_back(c);
+            }
+        }
+        return v;
+    }();
+    return cpus;
+}
+
+void
+pinThread(int tid, const std::vector<int>& cpus)
+{
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    for (const int c : cpus)
+        CPU_SET(c, &set);
+    if (::sched_setaffinity(tid, sizeof(set), &set) != 0)
+        throw std::runtime_error(std::string("sched_setaffinity: ") +
+                                 std::strerror(errno));
+}
+
+void
+rotateCpu(std::size_t k)
+{
+    const std::vector<int>& cpus = usableCpus();
+    if (!cpus.empty())
+        pinThread(0, {cpus[k % cpus.size()]});
 }
 
 ThermalProbe

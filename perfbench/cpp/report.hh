@@ -127,9 +127,8 @@ std::string hex(std::uint64_t v);
 /** sum += s, field by field. */
 void addDtm(tempest::DtmStats& sum, const tempest::DtmStats& s);
 
-/** The DTM event counts of a region, `end - start`, as JSON. */
-JsonOut dtmJson(const tempest::DtmStats& end,
-                const tempest::DtmStats& start = {});
+/** DTM event counts as JSON. */
+JsonOut dtmJson(const tempest::DtmStats& s);
 
 /**
  * A batch workload's rounds as a JSON array. `Round` has `wall`
@@ -154,8 +153,44 @@ roundsJson(const std::vector<Round>& rounds)
     return json + "]";
 }
 
+/**
+ * Call `round(k)` for k = 0, 1, ... for about `seconds`: at least
+ * once, and again while half of the last round still fits, so a run
+ * ends within half a round of `seconds`. `round` returns a record
+ * with a `wall` in seconds.
+ */
+template <typename Fn>
+auto
+repeatRounds(double seconds, Fn&& round)
+{
+    std::vector<decltype(round(std::size_t{0}))> rounds;
+    const double start = now();
+    do {
+        rounds.push_back(round(rounds.size()));
+    } while (now() - start + rounds.back().wall / 2 < seconds);
+    return rounds;
+}
+
 /** Peak resident set of this process (VmHWM), in kB. */
 std::uint64_t peakRssKb();
+
+/**
+ * The CPUs this process may run on, as they were at the first call
+ * (before any pinning below).
+ */
+const std::vector<int>& usableCpus();
+
+/** Restrict thread `tid` (0: the calling thread) to `cpus`. */
+void pinThread(int tid, const std::vector<int>& cpus);
+
+/**
+ * Move the calling thread to the usable CPU `k` names (mod their
+ * count). The host runs this machine's virtual CPUs at speeds that
+ * differ by up to ~30% at one moment and change over minutes, and a
+ * single busy thread stays on one of them, so batch workloads rotate
+ * their repeats over every CPU and keep each op's fastest repeat.
+ */
+void rotateCpu(std::size_t k);
 
 /** Standalone RcModel timings on one floorplan. */
 struct ThermalProbe
@@ -177,7 +212,6 @@ ThermalProbe probeThermal(const tempest::Floorplan& plan,
 double median(std::vector<double> v);
 
 int runPaperSweep(const Args& args);
-int runCmp3d(const Args& args);
 int runServeMixed(const Args& args);
 
 } // namespace perfbench

@@ -18,6 +18,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -26,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include <dirent.h>
 #include <poll.h>
 #include <sys/prctl.h>
 #include <sys/socket.h>
@@ -52,12 +54,10 @@ const char* const kSocket = "perfbench-serve.sock";
 constexpr double kDrainSeconds = 60.0;
 /**
  * The client spins instead of sleeping from this long before a due
- * time until this long after a send, so neither its own wake-up
- * latency nor a sleep on the reply of a cache hit (a few hundred
- * microseconds on an idle host) ends up in the measured latency.
+ * time, so its own wake-up latency does not end up in the measured
+ * latency.
  */
 constexpr double kSpinBefore = 300e-6;
-constexpr double kSpinAfter = 2e-3;
 
 struct Schedule
 {
@@ -204,10 +204,13 @@ class Replies
     std::vector<std::string> rx_;
 };
 
-/** Record one reply line into the outcome its "id" names. */
+/**
+ * Record one reply line into the outcome its "id" names; keep the
+ * line itself only if `keep_reply`.
+ */
 void
 record(std::vector<Outcome>& outcomes, const std::string& line,
-       double t)
+       double t, bool keep_reply = true)
 {
     const Json doc = Json::parse(line);
     const Json* id = doc.find("id");
@@ -218,7 +221,8 @@ record(std::vector<Outcome>& outcomes, const std::string& line,
         throw std::runtime_error("unexpected reply: " + line);
     Outcome& o = outcomes[i];
     o.recv = t;
-    o.reply = line;
+    if (keep_reply)
+        o.reply = line;
     o.ok = doc.find("ok") && doc.find("ok")->asBool();
     if (!o.ok)
         return;
@@ -264,6 +268,53 @@ startAndPrime(const Schedule& s, std::vector<Outcome>& hot)
     for (const std::string& line : s.hot)
         record(hot, call(line), now());
     return daemon;
+}
+
+/** Thread ids of this process, ascending. */
+std::vector<int>
+threadIds()
+{
+    std::vector<int> tids;
+    DIR* dir = ::opendir("/proc/self/task");
+    if (!dir)
+        throw std::runtime_error("cannot list /proc/self/task");
+    while (const dirent* e = ::readdir(dir)) {
+        if (e->d_name[0] != '.')
+            tids.push_back(std::atoi(e->d_name));
+    }
+    ::closedir(dir);
+    std::sort(tids.begin(), tids.end());
+    return tids;
+}
+
+/**
+ * Put the client thread and the daemon's poll thread on one CPU and
+ * the workers on the others. A cache hit then travels between two
+ * threads of one CPU, which never idles in between. Across CPUs,
+ * each hop woke an idle virtual CPU, which took ~100 us of a
+ * ~250 us hit and followed the host's load rather than the program.
+ * Needs three CPUs; with fewer, every thread stays unpinned.
+ */
+void
+colocateClient()
+{
+    std::vector<int> cpus = usableCpus();
+    if (cpus.size() < 3)
+        return;
+    const int shared = cpus.back();
+    cpus.pop_back();
+    // Every thread but this one is the daemon's. ServeDaemon::start
+    // creates the poll thread first, then the workers, so the poll
+    // thread has the lowest id.
+    const int self = static_cast<int>(::gettid());
+    bool poll_thread = true;
+    for (const int tid : threadIds()) {
+        if (tid == self)
+            continue;
+        pinThread(tid, poll_thread ? std::vector<int>{shared} : cpus);
+        poll_thread = false;
+    }
+    pinThread(self, {shared});
 }
 
 struct Codec
@@ -393,6 +444,7 @@ runServeMixed(const Args& args)
                 setup_ok = false;
         }
     }
+    colocateClient();
     const std::string stats_before = call(R"({"op":"stats"})");
 
     std::vector<int> fds;
@@ -404,19 +456,20 @@ runServeMixed(const Args& args)
     // generator lateness.
     ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
     const double origin = now() + 0.05;
-    double last_send = 0;
     const double last_due = origin + s.requests.back().due;
     std::size_t next = 0;
     std::size_t received = 0;
     auto on_reply = [&](const std::string& line, double t) {
-        record(window, line, t);
+        // Replies are only replayed by the traced run; untraced, the
+        // client keeps no copy, so peak RSS stays the daemon's.
+        record(window, line, t, args.trace);
         ++received;
     };
     while (received < window.size()) {
         const double t = now();
         if (next < window.size() && t >= origin + s.requests[next].due) {
             sendLine(fds[next % fds.size()], s.requests[next].line);
-            window[next].sent = last_send = now();
+            window[next].sent = now();
             ++next;
             continue;
         }
@@ -426,8 +479,7 @@ runServeMixed(const Args& args)
             next < window.size()
                 ? origin + s.requests[next].due - kSpinBefore
                 : last_due + kDrainSeconds;
-        const bool spin = t >= wake || t < last_send + kSpinAfter;
-        replies.poll(spin ? 0.0 : wake - t, on_reply);
+        replies.poll(t >= wake ? 0.0 : wake - t, on_reply);
     }
     double window_end = origin;
     for (const Outcome& o : window)

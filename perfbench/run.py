@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Tempest benchmark: build, run one workload, check, report.
 
-    python3 perfbench/run.py --workload <paper_sweep|cmp_3d|serve_mixed>
+    python3 perfbench/run.py --workload <paper_sweep|serve_mixed>
         --seed N --seconds S --trace <0|1>
 
 Builds tempest_perfbench and the program from source into .bench_build/
@@ -29,7 +29,7 @@ BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 BUILD = ROOT / ".bench_build"
 BINARY = BUILD / "tempest_perfbench"
-WORKLOADS = ("paper_sweep", "cmp_3d", "serve_mixed")
+WORKLOADS = ("paper_sweep", "serve_mixed")
 
 # serve_mixed traffic: open loop, one client thread on CONNECTIONS
 # connections to a 2-worker daemon; ~10% fresh identities keep the
@@ -101,11 +101,10 @@ def plural(n, noun):
 
 
 def batch_metrics(d, res):
-    """paper_sweep and cmp_3d: repeated rounds of one measured
-    region. A round is the op for latency: every round is the same
-    work, so round latencies have one mode (fork and step latencies
-    do not: eon forks cost ~4x art forks, and stall chunks cost less
-    than full steps)."""
+    """paper_sweep: repeated rounds of one measured region. A round
+    is the op for latency: every round is the same work, so round
+    latencies have one mode (fork latencies do not: eon forks cost
+    ~4x art forks)."""
     rounds = d["rounds"]
     walls = [r["wall_s"] for r in rounds]
     res.attempted = sum(len(r["op_walls"]) for r in rounds)
@@ -115,12 +114,11 @@ def batch_metrics(d, res):
     digests = {r["digest"] for r in rounds}
     res.check(len(digests) == 1, f"rounds disagree: {sorted(digests)}",
               ops=len(digests) - 1)
-    # Each op's (fork's, step's) time is its median over the rounds,
-    # which the host's second-scale speed swings mostly miss.
-    typical = sum(benchlib.median(op) for op in
-                  zip(*(r["op_walls"] for r in rounds)))
-    res.put("sim_mips", d["region_instructions"] / typical / 1e6,
-            f"per-op medians over {plural(len(rounds), 'round')}")
+    # Rounds rotate over the CPUs; the host's speed swings rarely
+    # cover every repeat of an op.
+    fastest = benchlib.fastest_round([r["op_walls"] for r in rounds])
+    res.put("sim_mips", d["region_instructions"] / fastest / 1e6,
+            f"each op's fastest of {plural(len(rounds), 'round')}")
     res.put("sim_ipc", d["region_instructions"] / d["region_cycles"])
     res.put("setup_s", benchlib.median(d["setup_s"]))
     res.put("peak_rss_mb", d["peak_rss_kb"] / 1024)
@@ -218,15 +216,11 @@ def span_median_ms(spans, name):
     return benchlib.median(durs) * 1e3 if durs else 0.0
 
 
-def span_mean_ms(spans, name):
-    durs = [s["end"] - s["start"] for s in spans if s["name"] == name]
-    return sum(durs) / len(durs) * 1e3 if durs else 0.0
-
-
 def batch_layers(d, trace, res):
     spans, stats = span_stats(trace)
     print_layers(stats)
     total = lambda n: stats.get(n, {}).get("total", 0.0)  # noqa: E731
+    loop = stats.get("loop", {"total": 0.0, "self": 0.0})
     m = layer_defaults()
     dtm = d["dtm"]
     m.update({
@@ -245,32 +239,19 @@ def batch_layers(d, trace, res):
         "thermal.step_us": d["thermal_step_us"],
         "thermal.propagator_ms": d["thermal_propagator_ms"],
         "trace.overhead": d["traced_wall_s"] / d["rounds"][0]["wall_s"] - 1,
+        "uarch.tick_s": total("uarch.tick"),
+        "uarch.ns_per_cycle": total("uarch.tick") / d["uarch_cycles"] * 1e9,
+        "uarch.cycles": d["uarch_cycles"],
+        "uarch.stall_cycles": d["uarch_stall_cycles"],
+        "workload.ns_per_op": d["workload_ns_per_op"],
+        "power.busy_s": total("power"),
+        "thermal.step_s": total("thermal"),
+        "thermal.sensor_s": total("sensor"),
+        "dtm.busy_s": total("dtm"),
+        "sim.loop_self_s": loop["self"],
     })
-    if d["workload"] == "paper_sweep":
-        loop = stats.get("loop", {"total": 0.0, "self": 0.0})
-        m.update({
-            "uarch.tick_s": total("uarch.tick"),
-            "uarch.ns_per_cycle": total("uarch.tick") / d["uarch_cycles"] * 1e9,
-            "uarch.cycles": d["uarch_cycles"],
-            "uarch.stall_cycles": d["uarch_stall_cycles"],
-            "workload.ns_per_op": d["workload_ns_per_op"],
-            "power.busy_s": total("power"),
-            "thermal.step_s": total("thermal"),
-            "thermal.sensor_s": total("sensor"),
-            "dtm.busy_s": total("dtm"),
-            "sim.loop_self_s": loop["self"],
-        })
-        print(f"loop time inside layer spans: "
-              f"{100 * (1 - loop['self'] / loop['total']):.2f}%")
-    else:
-        m.update({
-            "cmp.step_ms": span_mean_ms(spans, "cmp.step"),
-            "cmp.migration_step_ms": span_mean_ms(spans,
-                                                  "cmp.migration_step"),
-            "cmp.migrations": dtm["migrations"],
-            "cmp.bytes_moved": dtm["bytes_moved"],
-            "cmp.migration_stall_cycles": dtm["migration_stall_cycles"],
-        })
+    print(f"loop time inside layer spans: "
+          f"{100 * (1 - loop['self'] / loop['total']):.2f}%")
     res.attempted += len(d["rounds"][0]["op_walls"])
     res.failed += d["traced_failed"]
     res.check(d["traced_failed"] == 0, "traced ops threw", ops=0)

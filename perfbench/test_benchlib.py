@@ -32,6 +32,19 @@ class TailRule(unittest.TestCase):
             benchlib.tail([])
 
 
+class FastestRound(unittest.TestCase):
+    def test_each_op_takes_its_fastest_repeat(self):
+        rounds = [[1.0, 5.0, 2.0], [2.0, 4.0, 3.0], [1.5, 6.0, 1.0]]
+        self.assertEqual(benchlib.fastest_round(rounds), 1.0 + 4.0 + 1.0)
+
+    def test_one_round_is_its_own_sum(self):
+        self.assertEqual(benchlib.fastest_round([[0.5, 0.25]]), 0.75)
+
+    def test_rounds_must_repeat_the_same_ops(self):
+        with self.assertRaises(ValueError):
+            benchlib.fastest_round([[1.0, 2.0], [1.0]])
+
+
 class FailedRequests(unittest.TestCase):
     def test_failed_or_refused_count_beyond_any_limit(self):
         dues = [0.0, 1.0, 2.0]
