@@ -173,7 +173,7 @@ class ResourceBalancingDtm
                      const int half_blocks[2]);
 
     DtmConfig config_; // ckpt:skip(config, supplied by the restoring run)
-    OooCore& core_;    // ckpt:skip(wiring reference, serialized as its own chunks)
+    OooCore& core_;    // ckpt:skip(wiring reference, serialized by saveEngineContext)
 
     // Cached floorplan indices (rebuilt from the floorplan in the
     // constructor, never mutated during a run).

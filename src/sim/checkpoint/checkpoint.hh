@@ -6,10 +6,10 @@
  * per-component chunks:
  *
  *     offset 0   magic  "TMPSTCKP"                 (8 bytes)
- *     offset 8   u32    format version (currently 1)
+ *     offset 8   u32    format version (currently 2)
  *     offset 12  u32    chunk count
  *     then, per chunk:
- *                u32    chunk id (FourCC, e.g. 'CORE')
+ *                u32    chunk id (FourCC, e.g. 'CMPM')
  *                u32    flags (reserved, 0)
  *                u64    payload length in bytes
  *                       payload
@@ -46,7 +46,7 @@ namespace tempest
 {
 
 /** Current checkpoint format version. */
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /** FourCC chunk id from a 4-character tag. */
 constexpr std::uint32_t

@@ -13,12 +13,11 @@
  * The engines advance on one thermal clock: every step spans the
  * same cycle range on every core, bounded by the sampling interval
  * and by any in-progress cooling/migration stall so partial chunks
- * land on shared thermal-step boundaries. With cores == 1 and no
- * DRAM layer the loop reproduces the single-core Simulator's
- * floating-point operation sequence exactly — same floorplan, same
- * RC assembly, same sensor-RNG draw order, same stall chunking —
- * so an N=1 CmpSimulator run hashes bit-identically to a Simulator
- * run of the same config (test_cmp holds this invariant).
+ * land on shared thermal-step boundaries. step() is the only
+ * implementation of the paper's closed loop: with cores == 1 and
+ * no DRAM layer the die is the single-core floorplan verbatim, and
+ * the single-core Simulator is a facade over exactly that
+ * configuration.
  *
  * Jobs are bound to tiles through a placement permutation; the
  * cross-core CmpDtmPolicy may swap a near-threshold tile's job
@@ -39,11 +38,19 @@
 #include "common/arena.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "dtm/dtm_policy.hh"
+#include "power/power_model.hh"
 #include "sim/cmp/cmp_dtm.hh"
-#include "sim/simulator.hh"
+#include "sim/sim_config.hh"
+#include "thermal/rc_model.hh"
+#include "thermal/sensor.hh"
+#include "uarch/core.hh"
+#include "workload/profile.hh"
 
 namespace tempest
 {
+
+class ThermalTrace;
 
 /** Stacked-DRAM (3D) scenario knobs. */
 struct CmpStackConfig
@@ -98,7 +105,8 @@ struct CmpSimConfig
 struct CmpResult
 {
     /** Per-job results (indexed by job, not tile). `cycles` counts
-     * each core's own clock including stalls. */
+     * each core's own clock including stalls, from its measurement
+     * origin (see CmpSimulator::resetMeasurement). */
     std::vector<SimResult> cores;
 
     /** Shared blocks (L2 strip, DRAM banks), in floorplan order. */
@@ -110,7 +118,8 @@ struct CmpResult
     /** Final job placement: tileOfJob[j] is job j's tile. */
     std::vector<int> tileOfJob;
 
-    /** Thermal-clock cycles advanced (== every core's cycles). */
+    /** Thermal-clock cycle at the end of the run (== every core's
+     * cycle; not relative to a measurement origin). */
     std::uint64_t cycles = 0;
 };
 
@@ -121,17 +130,26 @@ std::uint64_t hashCmpResult(const CmpResult& r);
 class CmpSimulator
 {
   public:
+    /** Look up each of `config.benchmarks` with spec2000(). */
     explicit CmpSimulator(const CmpSimConfig& config);
+
+    /**
+     * Run `profiles` (one replicated across all cores, or one per
+     * core) instead of `config.benchmarks`, which is overwritten
+     * with the profile names.
+     */
+    CmpSimulator(const CmpSimConfig& config,
+                 const std::vector<BenchmarkProfile>& profiles);
 
     /** Run `max_cycles` thermal-clock cycles and build results. */
     CmpResult run(std::uint64_t max_cycles);
 
     /**
      * Advance lockstep steps until the thermal clock reaches
-     * `end_cycle`. Stalls are atomic exactly as in the single-core
-     * Simulator: a cooling or migration stall in progress drains
-     * to completion before this returns, so piecewise runTo calls
-     * (checkpoint loops) reproduce a monolithic run bit-exactly.
+     * `end_cycle`. Stalls are atomic: a cooling or migration stall
+     * in progress drains to completion before this returns, so
+     * piecewise runTo calls (checkpoint loops) reproduce a
+     * monolithic run bit-exactly.
      */
     void runTo(std::uint64_t end_cycle);
 
@@ -145,6 +163,17 @@ class CmpSimulator
 
     /** Build end-of-run results from the accumulated statistics. */
     CmpResult result() const;
+
+    /**
+     * Zero the measured-region statistics (activity totals,
+     * per-block and shared temperature stats, per-core DTM
+     * counters) and move every core's measurement origin to its
+     * current cycle and commit count, so result() reports each
+     * core relative to this point. Used by warm-state forking to
+     * exclude the shared warm-up prefix. Migration counters and
+     * the thermal clock (CmpResult::cycles) are not reset.
+     */
+    void resetMeasurement();
 
     /** Current thermal-clock cycle. */
     std::uint64_t cycle() const { return clockCycle_; }
@@ -163,10 +192,27 @@ class CmpSimulator
     const Floorplan& floorplan() const { return plan_; }
     const CmpSimConfig& config() const { return config_; }
     RcModel& thermalModel() { return *rc_; }
+    OooCore& core(int job) { return *engine(job).core; }
+    ResourceBalancingDtm& dtm(int job) { return *engine(job).dtm; }
     const CmpDtmStats& migrationStats() const;
     const std::vector<int>& tileOfJob() const { return tileOfJob_; }
 
+    /**
+     * Attach a trace recorder (not owned; nullptr detaches). Every
+     * step records the whole die: per-block temperature and power,
+     * `stalled` when every core is stalled, and the instructions
+     * committed on all cores.
+     */
+    void setTrace(ThermalTrace* trace) { trace_ = trace; }
+
   private:
+    /** Per-block temperature statistics. */
+    struct BlockAccum
+    {
+        RunningStat avg;   ///< non-stalled samples
+        Kelvin maxT = 0.0; ///< includes stalled intervals
+    };
+
     /** One job context: core, workload, per-core DTM, stats. */
     struct Engine
     {
@@ -184,14 +230,19 @@ class CmpSimulator
         std::uint64_t prevL2Misses = 0;
 
         ActivityRecord total;
-        struct ThermalAccum
-        {
-            RunningStat avg;   ///< non-stalled samples
-            Kelvin maxT = 0.0; ///< includes stalled intervals
-        };
         /** Per core-plan block, travels with the job. */
-        std::vector<ThermalAccum> accum;
+        std::vector<BlockAccum> accum;
+
+        /** Measurement origin (resetMeasurement). */
+        std::uint64_t startCycle = 0;
+        std::uint64_t startCommitted = 0;
     };
+
+    Engine&
+    engine(int job)
+    {
+        return *engines_.at(static_cast<std::size_t>(job));
+    }
 
     /** Advance one lockstep step of `cycles` cycles. */
     void step(std::uint64_t cycles);
@@ -229,13 +280,15 @@ class CmpSimulator
     bool warmed_ = false;
 
     /** Shared blocks (L2, DRAM): averaged over every interval. */
-    std::vector<Engine::ThermalAccum> sharedAccum_;
+    std::vector<BlockAccum> sharedAccum_;
+    ThermalTrace* trace_ = nullptr;
 
     // Scratch reused across steps.
     std::vector<ActivityRecord> intervalScratch_;
     std::vector<std::uint8_t> stalledScratch_;
     std::vector<Watt> corePowerScratch_;
     std::vector<Watt> powerScratch_;
+    std::vector<Kelvin> dieTempScratch_;
     std::vector<std::vector<Kelvin>> tileTempScratch_;
     std::vector<Kelvin> tileHottestScratch_;
     std::vector<std::uint8_t> eligibleScratch_;

@@ -1,7 +1,5 @@
 #include "sim/runner.hh"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <thread>
@@ -122,88 +120,26 @@ ExperimentRunner::run()
 
     const std::size_t total = jobs.size();
     std::vector<ExperimentOutcome> outcomes(total);
-    if (total == 0)
-        return outcomes;
-
-    int threads = options_.threads > 0 ? options_.threads
-                                       : defaultThreads();
-    threads = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(threads), total));
-
-    std::atomic<std::size_t> next{0};
     // progress_mutex guards `done` and serializes the progress
     // callback (locals can't carry GUARDED_BY; the lint
     // lock-discipline pass still checks the acquire pairing).
     Mutex progress_mutex;
     std::size_t done = 0;
-
-    auto worker = [&]() {
-        for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= total)
-                return;
+    experiments::parallelFor(
+        total,
+        options_.threads > 0 ? options_.threads : defaultThreads(),
+        [&](std::size_t i) {
             outcomes[i] = runJob(jobs[i], options_.baseSeed);
             if (options_.progress) {
                 MutexLock lock(progress_mutex);
                 options_.progress(outcomes[i], ++done, total);
             }
-        }
-    };
-
-    if (threads == 1) {
-        worker();
-        return outcomes;
-    }
-
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t)
-        pool.emplace_back(worker);
-    for (std::thread& t : pool)
-        t.join();
+        });
     return outcomes;
 }
 
 namespace experiments
 {
-
-namespace
-{
-
-/** Run `fn(i)` for i in [0, total) on `threads` workers, pulling
- * indices from a shared counter. */
-template <typename Fn>
-void
-parallelFor(std::size_t total, int threads, Fn&& fn)
-{
-    if (total == 0)
-        return;
-    threads = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(std::max(threads, 1)), total));
-    std::atomic<std::size_t> next{0};
-    auto worker = [&]() {
-        for (;;) {
-            const std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= total)
-                return;
-            fn(i);
-        }
-    };
-    if (threads == 1) {
-        worker();
-        return;
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t)
-        pool.emplace_back(worker);
-    for (std::thread& t : pool)
-        t.join();
-}
-
-} // namespace
 
 std::string
 warmSnapshot(const SimConfig& warm_config,

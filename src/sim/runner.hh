@@ -25,10 +25,13 @@
 #ifndef TEMPEST_SIM_RUNNER_HH
 #define TEMPEST_SIM_RUNNER_HH
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -137,6 +140,43 @@ class ExperimentRunner
 
 namespace experiments
 {
+
+/**
+ * Run `fn(i)` for every i in [0, total) on min(threads, total)
+ * workers (at least one) pulling indices from one shared atomic
+ * counter; a single worker runs on the calling thread. This is the
+ * in-process pool of every sweep: fn(i) writes only slot i of a
+ * result vector, so results never depend on the worker count.
+ */
+template <typename Fn>
+void
+parallelFor(std::size_t total, int threads, Fn&& fn)
+{
+    if (total == 0)
+        return;
+    threads = static_cast<int>(std::min<std::size_t>(
+        static_cast<std::size_t>(std::max(threads, 1)), total));
+    std::atomic<std::size_t> next{0};
+    auto worker = [&]() {
+        for (;;) {
+            const std::size_t i =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= total)
+                return;
+            fn(i);
+        }
+    };
+    if (threads == 1) {
+        worker();
+        return;
+    }
+    std::vector<std::thread> pool;
+    pool.reserve(static_cast<std::size_t>(threads));
+    for (int t = 0; t < threads; ++t)
+        pool.emplace_back(worker);
+    for (std::thread& t : pool)
+        t.join();
+}
 
 /**
  * Run the cross product of tagged configurations and benchmarks

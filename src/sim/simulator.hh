@@ -1,89 +1,34 @@
 /**
  * @file
- * The closed-loop thermal simulator: couples the out-of-order core,
- * the power model, the RC thermal network, the sensor bank, and the
- * DTM policy.
+ * The single-core closed-loop thermal simulator: one out-of-order
+ * core, the power model, the RC thermal network, the sensor bank,
+ * and the DTM policy.
  *
- * The loop mirrors the paper's methodology (§3): execute in
- * 100,000-cycle sampling intervals, convert the interval's activity
- * to per-block power, advance the thermal network, read the
- * sensors, and let the DTM act. A GlobalStall action freezes the
- * core for exactly the thermal cooling time (advanced in
- * sample-interval chunks with clock-gated power, plus a final
+ * Simulator is a facade over a CmpSimulator with one core and no
+ * stacked DRAM, whose step() is the only implementation of the
+ * paper's loop (§3): execute a 100,000-cycle sampling interval,
+ * convert its activity to per-block power, advance the thermal
+ * network, read the sensors, and let the DTM act. A GlobalStall
+ * freezes the core for exactly the thermal cooling time (advanced
+ * in sample-interval chunks with clock-gated power, plus a final
  * partial chunk for the remainder). Initial temperatures come from
- * a
- * steady-state solve of the first interval's power, clamped to the
- * thermal threshold, so runs begin thermally warmed.
+ * a steady-state solve of the first interval's power, clamped to
+ * the thermal threshold, so runs begin thermally warmed.
  */
 
 #ifndef TEMPEST_SIM_SIMULATOR_HH
 #define TEMPEST_SIM_SIMULATOR_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "common/arena.hh"
-#include "common/stats.hh"
-#include "common/types.hh"
-#include "dtm/dtm_policy.hh"
-#include "power/power_model.hh"
+#include "sim/cmp/cmp_simulator.hh"
+#include "sim/sim_config.hh"
 #include "sim/trace.hh"
-#include "thermal/rc_model.hh"
-#include "thermal/sensor.hh"
-#include "uarch/core.hh"
 #include "workload/profile.hh"
 
 namespace tempest
 {
-
-/** Everything needed to instantiate one simulation. */
-struct SimConfig
-{
-    PipelineConfig pipeline;
-    EnergyParams energy;
-    ThermalParams thermal;
-    DtmConfig dtm;
-    FloorplanVariant variant = FloorplanVariant::Baseline;
-
-    /** Sensor sampling interval (paper: 100,000 cycles). */
-    std::uint64_t sampleIntervalCycles = 100000;
-
-    /** Sensor quantization (0 = ideal). */
-    Kelvin sensorQuantum = 0.0;
-
-    /** Experiment-level seed, combined with the profile seed. */
-    std::uint64_t runSeed = 1;
-
-    /** Start from the steady state of the first interval's power
-     * (clamped at the threshold) instead of ambient. */
-    bool warmStart = true;
-};
-
-/** Per-block temperature summary. */
-struct BlockTempStats
-{
-    std::string name;
-    Kelvin avg = 0;  ///< average over non-stalled samples
-    Kelvin max = 0;  ///< maximum over all samples
-};
-
-/** End-of-run results. */
-struct SimResult
-{
-    std::string benchmark;
-    double ipc = 0;
-    std::uint64_t cycles = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t stallCycles = 0;
-    DtmStats dtm;
-    std::vector<BlockTempStats> blocks;
-    ActivityRecord activity; ///< totals over the whole run
-
-    /** Temperature stats of a named block; fatal if absent. */
-    const BlockTempStats& block(const std::string& name) const;
-};
 
 /** Closed-loop simulator for one benchmark run. */
 class Simulator
@@ -96,7 +41,11 @@ class Simulator
      * Run until the core has advanced `max_cycles` cycles
      * (including stall cycles).
      */
-    SimResult run(std::uint64_t max_cycles);
+    SimResult
+    run(std::uint64_t max_cycles)
+    {
+        return cmp_.run(max_cycles).cores.front();
+    }
 
     /**
      * Advance whole sampling intervals until the core cycle
@@ -105,22 +54,31 @@ class Simulator
      * atomic: a cooling stall triggered inside one completes
      * before this returns, exactly as in run().
      */
-    void runTo(std::uint64_t end_cycle);
+    void runTo(std::uint64_t end_cycle) { cmp_.runTo(end_cycle); }
 
     /** Build the end-of-run result from the measured-region
      * statistics (everything since the last resetMeasurement(),
      * or since construction). */
-    SimResult result() const;
+    SimResult
+    result() const
+    {
+        return cmp_.result().cores.front();
+    }
 
     /** Current core cycle (checkpoint loop bookkeeping). */
-    std::uint64_t cycle() const { return core_->cycle(); }
+    std::uint64_t cycle() const { return cmp_.cycle(); }
 
     /**
      * Serialize the complete simulation state as a versioned
-     * checkpoint (see sim/checkpoint/checkpoint.hh). The returned
-     * bytes restore bit-identically via restoreCheckpoint().
+     * checkpoint in the CMP layout (see DESIGN.md §11). The
+     * returned bytes restore bit-identically via
+     * restoreCheckpoint().
      */
-    std::string saveCheckpoint() const;
+    std::string
+    saveCheckpoint() const
+    {
+        return cmp_.saveCheckpoint();
+    }
 
     /**
      * Restore a checkpoint produced by saveCheckpoint(). The
@@ -133,7 +91,11 @@ class Simulator
      * restore a neutral warm-up snapshot under its own DTM
      * configuration.
      */
-    void restoreCheckpoint(const std::string& bytes);
+    void
+    restoreCheckpoint(const std::string& bytes)
+    {
+        cmp_.restoreCheckpoint(bytes);
+    }
 
     /**
      * Zero the measured-region statistics (activity totals, block
@@ -141,58 +103,20 @@ class Simulator
      * cycles/instructions/IPC relative to this point. Used by
      * warm-state forking to exclude the shared warm-up prefix.
      */
-    void resetMeasurement();
+    void resetMeasurement() { cmp_.resetMeasurement(); }
 
     /** Access to the live pieces (examples, tests). */
-    OooCore& core() { return *core_; }
-    RcModel& thermalModel() { return *rc_; }
-    ResourceBalancingDtm& dtm() { return *dtm_; }
-    const Floorplan& floorplan() const { return floorplan_; }
-    const SimConfig& config() const { return config_; }
+    OooCore& core() { return cmp_.core(0); }
+    RcModel& thermalModel() { return cmp_.thermalModel(); }
+    ResourceBalancingDtm& dtm() { return cmp_.dtm(0); }
+    const Floorplan& floorplan() const { return cmp_.floorplan(); }
+    const SimConfig& config() const { return cmp_.config().base; }
 
     /** Attach a trace recorder (not owned); nullptr detaches. */
-    void setTrace(ThermalTrace* trace) { trace_ = trace; }
+    void setTrace(ThermalTrace* trace) { cmp_.setTrace(trace); }
 
   private:
-    /**
-     * Simulate one interval of `cycles` cycles (a full sampling
-     * interval normally; cooling stalls may use a final partial
-     * chunk so the stall covers the cooling time exactly).
-     */
-    void runInterval(bool stalled, std::uint64_t cycles);
-
-    SimConfig config_;
-    Floorplan floorplan_;
-    // Pooled backing store for the core's hot-state arrays; must
-    // outlive (so: be declared before) the core.
-    Arena arena_;
-    std::unique_ptr<OooCore> core_;
-    std::unique_ptr<PowerModel> power_;
-    std::unique_ptr<RcModel> rc_;
-    std::unique_ptr<SensorBank> sensors_;
-    std::unique_ptr<ResourceBalancingDtm> dtm_;
-
-    std::vector<Watt> powerScratch_;
-    std::vector<Kelvin> tempsScratch_;
-
-    // Accumulated statistics. The per-block thermal accumulators
-    // are packed into one struct array so the per-interval pass
-    // (sensor read + average + peak + hottest, see runInterval)
-    // touches one contiguous line-sized record per block.
-    struct BlockThermalAccum
-    {
-        RunningStat avg;   ///< non-stalled samples
-        Kelvin maxT = 0.0; ///< includes stalled intervals
-    };
-    ActivityRecord total_;
-    std::vector<BlockThermalAccum> blockAccum_;
-    bool warmed_ = false;
-    ThermalTrace* trace_ = nullptr;
-
-    // Measured-region origin (both 0 unless resetMeasurement()
-    // was called); result() reports relative to these.
-    std::uint64_t measureStartCycle_ = 0;
-    std::uint64_t measureStartCommitted_ = 0;
+    CmpSimulator cmp_;
 };
 
 } // namespace tempest

@@ -96,8 +96,8 @@ struct ActivityRecord
 
 /**
  * Serialize every ActivityRecord counter, field by field in
- * declaration order (the SIMR checkpoint chunk layout). Shared by
- * the single-core Simulator and the CMP layer.
+ * declaration order (part of each job's checkpoint chunk, see
+ * CmpSimulator::saveCheckpoint).
  */
 void saveActivity(StateWriter& w, const ActivityRecord& a);
 

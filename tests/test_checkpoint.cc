@@ -8,10 +8,11 @@
  * a straight-through run — per config, per benchmark, through the
  * in-memory fork path and through a disk round-trip. On top of
  * that: corruption (truncation, flipped payload bytes) must fail
- * with a clear FatalError, identity mismatches must be rejected,
- * unknown chunks must be skipped (forward compatibility), and the
- * warm-fork sweep must be bit-identical at 1/2/8 threads and
- * between the in-memory and spill-to-disk snapshot paths.
+ * with a clear FatalError, snapshots of another format version and
+ * identity mismatches must be rejected, unknown chunks must be
+ * skipped (forward compatibility), and the warm-fork sweep must be
+ * bit-identical at 1/2/8 threads and between the in-memory and
+ * spill-to-disk snapshot paths.
  *
  * Coverage of the visitors themselves is enforced statically by
  * tools/lint/tempest_lint.py (ctest: lint_tree; DESIGN.md §12):
@@ -23,7 +24,7 @@
  * not serialized carry `// ckpt:skip(<reason>)` on their
  * declaration; the reason is mandatory and must be one of:
  * derived/rebuildable cache, config-owned reference, sub-component
- * serialized in its own chunk (Simulator::saveCheckpoint), or
+ * serialized separately (CmpSimulator::saveEngineContext), or
  * per-cycle scratch. When adding a member to a checkpointable
  * class, either wire it through both visitors (and extend the
  * round-trip coverage here) or annotate it — never leave it bare.
@@ -250,6 +251,21 @@ TEST(Checkpoint, FlippedByteFailsTheChecksum)
     EXPECT_THROW(fresh.restoreCheckpoint(bytes), FatalError);
 }
 
+TEST(Checkpoint, OlderFormatVersionIsRejected)
+{
+    const SimConfig config = seededConfig("iq_base", "art");
+    Simulator sim(config, spec2000("art"));
+    sim.runTo(kSaveCycle);
+    std::string bytes = sim.saveCheckpoint();
+
+    // Version 1 had a separate single-core chunk layout; its
+    // snapshots must fail the version check, not be misread.
+    bytes[8] = 1;
+    bytes[9] = bytes[10] = bytes[11] = 0;
+    Simulator fresh(config, spec2000("art"));
+    EXPECT_THROW(fresh.restoreCheckpoint(bytes), FatalError);
+}
+
 TEST(Checkpoint, BadMagicIsRejected)
 {
     const SimConfig config = seededConfig("iq_base", "art");
@@ -327,7 +343,7 @@ TEST(Checkpoint, UnknownChunksAreSkippedForwardCompatibly)
 
     const CheckpointReader reader(bytes);
     EXPECT_TRUE(reader.has(chunkId("XTRA")));
-    EXPECT_TRUE(reader.has(chunkId("CORE")));
+    EXPECT_TRUE(reader.has(chunkId("CMPM")));
 
     Simulator resume(config, profile);
     resume.restoreCheckpoint(bytes);

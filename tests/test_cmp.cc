@@ -1,17 +1,17 @@
 /**
  * @file
- * CMP-layer tests: the N=1 bit-identity anchor against the
- * single-core Simulator, 2-core golden hashes (stable across
+ * CMP-layer tests: the 1-core engine against the single-core
+ * Simulator facade, 2-core golden hashes (stable across
  * Debug/Release and runner thread counts), cross-core migration
- * mechanics, mid-flight checkpoint round-trips, and the stacked
- * DRAM (3D) heating path.
+ * mechanics, mid-flight checkpoint round-trips, measurement
+ * origins, die-wide traces, and the stacked DRAM (3D) heating
+ * path.
  *
- * The N=1 test is the load-bearing one: CmpSimulator reimplements
- * the closed simulation loop over a shared thermal network, and
- * proving a 1-core CMP hashes identically to the single-core
- * engine pins every floating-point operation — floorplan assembly,
- * RC edge order, sensor RNG draws, stall chunking — to the
- * existing goldens without re-deriving them.
+ * Simulator is a facade over a 1-core CmpSimulator, so the N=1
+ * identity holds by construction; the N=1 test still checks that
+ * the name-based and profile-based constructors build the same
+ * engine, and the single-core goldens (test_golden) pin every
+ * floating-point operation of the one loop.
  */
 
 #include <gtest/gtest.h>
@@ -19,11 +19,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "common/log.hh"
+#include "sim/checkpoint/checkpoint.hh"
 #include "sim/cmp/cmp_simulator.hh"
 #include "sim/experiment.hh"
+#include "sim/trace.hh"
 #include "workload/profile.hh"
 
 namespace tempest
@@ -74,7 +78,7 @@ TEST(Cmp, SingleCoreMatchesSimulatorBitExactly)
         EXPECT_EQ(hashSimResult(got.cores[0]),
                   hashSimResult(expect))
             << benchmark
-            << ": 1-core CMP diverged from the single-core engine";
+            << ": 1-core CMP diverged from the Simulator facade";
         EXPECT_EQ(got.cycles, expect.cycles);
     }
 }
@@ -318,6 +322,168 @@ TEST(Cmp, StackedDramTriggersDtmOnMemoryBoundWorkloads)
         << "flat art should stay under the 3D envelope";
     EXPECT_GT(stacked_r.cores[0].dtm.globalStalls, 0u)
         << "stacked DRAM heat should push art over the envelope";
+}
+
+/**
+ * Copy every chunk of a 2-core checkpoint into a new one, letting
+ * `edit` rewrite the payloads (id, payload bytes).
+ */
+std::string
+copyCheckpoint(
+    const std::string& bytes,
+    const std::function<void(std::uint32_t, std::string&)>& edit)
+{
+    const CheckpointReader reader(bytes);
+    CheckpointWriter out;
+    for (const std::uint32_t id :
+         {chunkId("CMPM"), chunkId("JB00"), chunkId("JB01"),
+          chunkId("CTHM"), chunkId("CSNS"), chunkId("CMPD")}) {
+        StateReader r = reader.chunk(id);
+        std::string payload;
+        while (!r.atEnd())
+            payload.push_back(static_cast<char>(r.u8()));
+        edit(id, payload);
+        StateWriter& w = out.chunk(id);
+        for (const char c : payload)
+            w.u8(static_cast<std::uint8_t>(c));
+    }
+    return out.serialize();
+}
+
+/** A placement with two jobs on one tile must not restore. */
+TEST(Cmp, CheckpointRejectsPlacementThatIsNotAPermutation)
+{
+    const CmpSimConfig config = cmpConfigFor(2, {"art", "mesa"});
+    CmpSimulator sim(config);
+    sim.runTo(kCycles / 2);
+    const std::string good = sim.saveCheckpoint();
+
+    // The copier itself is faithful.
+    EXPECT_EQ(copyCheckpoint(good,
+                             [](std::uint32_t, std::string&) {}),
+              good);
+
+    // CMPD holds the migration policy's state, then tileOfJob.
+    StateWriter policy;
+    CmpDtmPolicy(config.migration, config.base.dtm.maxTemperature,
+                 config.cores)
+        .saveState(policy);
+    const std::size_t placement = policy.size();
+    const std::string bad = copyCheckpoint(
+        good, [&](std::uint32_t id, std::string& payload) {
+            if (id != chunkId("CMPD"))
+                return;
+            ASSERT_GE(payload.size(), placement + 8);
+            // tileOfJob = [0, 0]: both jobs on tile 0.
+            for (std::size_t k = 0; k < 8; ++k)
+                payload[placement + k] = 0;
+        });
+
+    CmpSimulator restored(config);
+    EXPECT_THROW(restored.restoreCheckpoint(bad), FatalError);
+    EXPECT_NO_THROW(restored.restoreCheckpoint(good));
+}
+
+/**
+ * resetMeasurement at N=2, through a checkpoint on either side of
+ * the reset: the result covers only the region after the reset and
+ * equals the in-memory warm -> reset -> run.
+ */
+TEST(Cmp, ResetMeasurementRoundTripsThroughCheckpoints)
+{
+    CmpSimConfig config = cmpConfigFor(2, {"art", "mesa"});
+    config.migration = eagerMigration();
+    constexpr std::uint64_t kWarm = kCycles / 2;
+
+    CmpSimulator direct(config);
+    direct.runTo(kWarm);
+    const std::uint64_t origin = direct.cycle();
+    direct.resetMeasurement();
+    direct.runTo(kCycles);
+    const CmpResult expect = direct.result();
+    for (const SimResult& c : expect.cores)
+        EXPECT_EQ(c.cycles, expect.cycles - origin);
+
+    // warm -> save -> restore -> reset -> run.
+    CmpSimulator warm(config);
+    warm.runTo(kWarm);
+    CmpSimulator forked(config);
+    forked.restoreCheckpoint(warm.saveCheckpoint());
+    forked.resetMeasurement();
+    forked.runTo(kCycles);
+    EXPECT_EQ(hashCmpResult(forked.result()), hashCmpResult(expect));
+
+    // warm -> reset -> save -> restore -> run: the origins travel
+    // with the checkpoint.
+    warm.resetMeasurement();
+    CmpSimulator resumed(config);
+    resumed.restoreCheckpoint(warm.saveCheckpoint());
+    resumed.runTo(kCycles);
+    EXPECT_EQ(hashCmpResult(resumed.result()),
+              hashCmpResult(expect));
+}
+
+/** The 1-core engine runs a profile that is not in SPEC2000. */
+TEST(Cmp, SingleCoreEngineRunsACustomProfile)
+{
+    BenchmarkProfile custom = spec2000("gzip");
+    custom.name = "my_workload";
+    custom.branchMispredictRate = 0.2;
+    custom.validate();
+
+    EXPECT_THROW(CmpSimulator(cmpConfigFor(1, {"my_workload"})),
+                 FatalError);
+    CmpSimulator sim(cmpConfigFor(1, {}), {custom});
+    EXPECT_EQ(sim.config().benchmarks,
+              std::vector<std::string>{"my_workload"});
+    const CmpResult r = sim.run(kCycles);
+    ASSERT_EQ(r.cores.size(), 1u);
+    EXPECT_EQ(r.cores[0].benchmark, "my_workload");
+    EXPECT_GT(r.cores[0].instructions, 0u);
+
+    CmpSimulator gzip(cmpConfigFor(1, {"gzip"}));
+    EXPECT_NE(hashSimResult(gzip.run(kCycles).cores[0]),
+              hashSimResult(r.cores[0]));
+}
+
+/** A 2-core trace has one row per step and a column per die
+ * block, and agrees with the per-core results. */
+TEST(Cmp, TraceRecordsTheWholeDieEveryStep)
+{
+    CmpSimulator sim(cmpConfigFor(2, {"art", "mesa"}));
+    ThermalTrace trace(sim.floorplan());
+    sim.setTrace(&trace);
+    std::vector<std::uint64_t> step_ends;
+    while (sim.cycle() < kCycles) {
+        sim.stepOnce();
+        step_ends.push_back(sim.cycle());
+    }
+    const CmpResult r = sim.result();
+
+    const auto blocks =
+        static_cast<std::size_t>(sim.floorplan().numBlocks());
+    EXPECT_EQ(blocks, 2 * r.cores[0].blocks.size() + 1); // + L2
+    ASSERT_EQ(trace.size(), step_ends.size());
+    std::uint64_t instructions = 0;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const TraceSample& s = trace.sample(i);
+        EXPECT_EQ(s.cycle, step_ends[i]);
+        EXPECT_EQ(s.temperature.size(), blocks);
+        EXPECT_EQ(s.power.size(), blocks);
+        instructions += s.instructions;
+    }
+    EXPECT_EQ(instructions,
+              r.cores[0].instructions + r.cores[1].instructions);
+
+    // No migration: job j sits on tile j.
+    EXPECT_DOUBLE_EQ(
+        trace.peak(sim.floorplan().indexOf("C1.IntQ1")),
+        r.cores[1].block("IntQ1").max);
+    EXPECT_DOUBLE_EQ(trace.peak(sim.floorplan().indexOf("L2")),
+                     r.shared[0].max);
+    const std::string csv = trace.toCsv();
+    EXPECT_NE(csv.find(",T_C0.IntQ1,"), std::string::npos);
+    EXPECT_NE(csv.find(",P_L2"), std::string::npos);
 }
 
 } // namespace

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "common/log.hh"
 
+#include "sim/checkpoint/stateio.hh"
 #include "sim/experiment.hh"
 #include "sim/trace.hh"
 
@@ -76,6 +80,30 @@ TEST(Trace, CsvShapeAndHeader)
     EXPECT_NE(csv.find("P_IntExec0"), std::string::npos);
     // Header + 3 rows.
     EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 4);
+}
+
+/**
+ * The CSV of a run through the warm start, cooling stalls and
+ * their final partial chunks, pinned byte for byte
+ * (TEMPEST_PRINT_GOLDENS=1 prints the hash).
+ */
+TEST(Trace, CsvIsPinnedByteForByte)
+{
+    SimConfig cfg = iqBase(0.04);
+    cfg.dtm.maxTemperature -= 5.0; // stall within a few intervals
+    Simulator sim(cfg, spec2000("eon"));
+    ThermalTrace trace(sim.floorplan());
+    sim.setTrace(&trace);
+    const SimResult r = sim.run(3'000'000);
+    ASSERT_GT(r.dtm.globalStalls, 0u);
+    const std::string csv = trace.toCsv();
+    const std::uint64_t hash = fnv1a64(csv.data(), csv.size());
+    if (std::getenv("TEMPEST_PRINT_GOLDENS") != nullptr) {
+        std::printf("trace csv hash 0x%016llx\n",
+                    static_cast<unsigned long long>(hash));
+        return;
+    }
+    EXPECT_EQ(hash, 0xf1b588dd1e3a4832ULL);
 }
 
 TEST(Trace, RejectsBadStride)

@@ -1,7 +1,9 @@
 // Fixture: a class whose serializer call sequence no longer
 // matches the committed registry baseline while the checkpoint
 // version stayed put (the paired registry JSON records the old
-// [u32] sequence at the current version). An old-format file
+// [u32] sequence; run_lint_tests.py stamps it with the live
+// kCheckpointVersion, so the case holds at any version). An
+// old-format file
 // would be misread with no way to tell; must be flagged with the
 // bump-the-version remedy.
 #include "stubs.hh"

@@ -7,9 +7,12 @@ clean.  Run directly or through ctest (registered as `lint_self_test`
 and `lint_tree` in tools/CMakeLists.txt).
 """
 
+import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 LINT = os.path.join(HERE, "..", "tempest_lint.py")
@@ -51,11 +54,6 @@ CASES = {
     "bad_chunk_duplicate.cc": (1, [
         "chunk FourCC 'DUPE' already used at",
     ]),
-    "bad_chunk_version_drift.cc": (1, [
-        "class DriftClass changed its serializer call sequence",
-        "kCheckpointVersion is still 1",
-    ], ["--chunk-registry",
-        os.path.join(FIXTURES, "chunk_registry_drift.json")]),
     "good_chunk_registered.cc": (0, [],
                                  ["--chunk-registry",
                                   os.path.join(
@@ -116,6 +114,32 @@ CASES = {
 }
 
 
+def live_checkpoint_version():
+    path = os.path.join(ROOT, "src", "sim", "checkpoint",
+                        "checkpoint.hh")
+    with open(path) as f:
+        return int(re.search(r"kCheckpointVersion\s*=\s*(\d+)",
+                             f.read()).group(1))
+
+
+def drift_case(tmpdir):
+    """bad_chunk_version_drift.cc against its registry baseline,
+    pinned at whatever version the live tree is at: the sequence
+    drifted but the version did not, so the bump-the-version
+    diagnostic must fire at any version."""
+    version = live_checkpoint_version()
+    with open(os.path.join(FIXTURES, "chunk_registry_drift.json")) as f:
+        registry = json.load(f)
+    registry["checkpoint_version"] = version
+    path = os.path.join(tmpdir, "chunk_registry_drift.json")
+    with open(path, "w") as f:
+        json.dump(registry, f)
+    return (1, [
+        "class DriftClass changed its serializer call sequence",
+        "kCheckpointVersion is still %d" % version,
+    ], ["--chunk-registry", path])
+
+
 def run_lint(args):
     return subprocess.run(
         [sys.executable, LINT] + args,
@@ -123,10 +147,17 @@ def run_lint(args):
 
 
 def main():
+    with tempfile.TemporaryDirectory() as tmpdir:
+        cases = dict(CASES)
+        cases["bad_chunk_version_drift.cc"] = drift_case(tmpdir)
+        return run_cases(cases)
+
+
+def run_cases(cases):
     failures = []
     backend = ["--backend", os.environ.get("TEMPEST_LINT_BACKEND", "text")]
 
-    for fixture, case in sorted(CASES.items()):
+    for fixture, case in sorted(cases.items()):
         want_rc, want_msgs = case[0], case[1]
         extra = list(case[2]) if len(case) > 2 else []
         path = os.path.join(FIXTURES, fixture)
@@ -156,7 +187,7 @@ def main():
         for f in failures:
             print("---\n" + f)
         return 1
-    print("run_lint_tests: %d fixtures + tree OK" % len(CASES))
+    print("run_lint_tests: %d fixtures + tree OK" % len(cases))
     return 0
 
 

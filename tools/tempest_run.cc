@@ -33,19 +33,20 @@
  *              cooldown_intervals,stall_cycles,bytes_per_cycle}
  *   [stack]    dram, dram_energy_per_access, dram_static_w
  *
- * `--cores N` is sugar for the `cmp.cores = N` override. When the
- * effective config asks for more than one core tile (or a stacked
- * DRAM die), the run goes through the CMP engine: N cores in
+ * `--cores N` is sugar for the `cmp.cores = N` override. Every
+ * run goes through the one engine (CmpSimulator): N cores in
  * lockstep on one shared thermal network, per-core DTM plus the
- * cross-core migration policy, one result block per core. A 1-core
- * CMP run is bit-identical to the single-core engine, so --cores 1
+ * cross-core migration policy. A 1-core run without stacked DRAM
+ * is the single-core simulation and prints its report; more cores
+ * or a stacked DRAM die print one result block per core. --cores 1
  * and no flag print the same result_hash.
  *
  * Checkpointing (resumable runs, see DESIGN.md §11):
  *
  *   --checkpoint-every N   snapshot every N cycles
- *   --checkpoint-dir D     directory for <benchmark>.ckpt
- *                          (default ".")
+ *   --checkpoint-dir D     directory for <benchmark>.ckpt, or
+ *                          cmp.ckpt for multi-core and stacked
+ *                          runs (default ".")
  *   --resume               restore from the checkpoint file if it
  *                          exists, then continue to [run] cycles
  *
@@ -74,7 +75,7 @@
 #include "sim/experiment.hh"
 #include "sim/runner.hh"
 #include "sim/sim_config_io.hh"
-#include "sim/simulator.hh"
+#include "sim/trace.hh"
 
 using namespace tempest;
 
@@ -166,48 +167,48 @@ runPaperScale(std::uint64_t measure_cycles, int threads)
     return 0;
 }
 
-/**
- * The CMP run path: one lockstep simulation over the shared die,
- * same checkpoint-every/resume discipline as the single-core path
- * (CmpSimulator checkpoints capture every engine, the thermal
- * network, sensors, placement, and any in-flight stall).
- */
-int
-runCmp(const Config& cfg, std::uint64_t cycles,
-       std::uint64_t checkpoint_every,
-       const std::string& checkpoint_dir, bool resume)
+/** The single-core report: totals, DTM events, block temps. */
+void
+printSimReport(const SimResult& r)
 {
-    const CmpSimConfig config = cmpConfigFromConfig(cfg);
-    CmpSimulator sim(config);
-    const std::string ckpt_path = checkpoint_dir + "/cmp.ckpt";
-
-    if (resume) {
-        std::ifstream probe(ckpt_path, std::ios::binary);
-        if (probe) {
-            probe.close();
-            sim.restoreCheckpoint(readCheckpointFile(ckpt_path));
-            std::printf("resumed       %s @ cycle %llu\n",
-                        ckpt_path.c_str(),
-                        static_cast<unsigned long long>(
-                            sim.cycle()));
-        } else {
-            inform("--resume: no checkpoint at '", ckpt_path,
-                   "', starting from cycle 0");
-        }
+    std::printf("benchmark    %s\n", r.benchmark.c_str());
+    std::printf("cycles       %llu\n",
+                static_cast<unsigned long long>(r.cycles));
+    std::printf("instructions %llu\n",
+                static_cast<unsigned long long>(r.instructions));
+    std::printf("ipc          %.3f\n", r.ipc);
+    std::printf("stall_cycles %llu (%.1f%%)\n",
+                static_cast<unsigned long long>(r.stallCycles),
+                100.0 * r.stallCycles / r.cycles);
+    std::printf("stalls       %llu\n",
+                static_cast<unsigned long long>(r.dtm.globalStalls));
+    std::printf("toggles      %llu\n",
+                static_cast<unsigned long long>(r.dtm.iqToggles));
+    std::printf("turnoffs     %llu alu, %llu fp, %llu "
+                "regfile, %llu fetch-throttle\n",
+                static_cast<unsigned long long>(
+                    r.dtm.aluTurnoffEvents),
+                static_cast<unsigned long long>(
+                    r.dtm.fpAdderTurnoffEvents),
+                static_cast<unsigned long long>(
+                    r.dtm.regfileTurnoffEvents),
+                static_cast<unsigned long long>(
+                    r.dtm.fetchThrottleEvents));
+    for (const BlockTempStats& b : r.blocks) {
+        std::printf("block %-10s avg %7.2f K   max %7.2f K\n",
+                    b.name.c_str(), b.avg, b.max);
     }
+    // Full-SimResult FNV-1a: bit-identity fingerprint for the
+    // kill-and-resume test and for cross-run comparisons.
+    std::printf("result_hash  0x%016llx\n",
+                static_cast<unsigned long long>(
+                    experiments::hashSimResult(r)));
+}
 
-    if (checkpoint_every > 0) {
-        while (sim.cycle() < cycles) {
-            const std::uint64_t stop =
-                std::min(cycles, sim.cycle() + checkpoint_every);
-            sim.runTo(stop);
-            writeCheckpointFile(ckpt_path, sim.saveCheckpoint());
-        }
-    } else {
-        sim.runTo(cycles);
-    }
-    const CmpResult r = sim.result();
-
+/** The CMP report: one row per core, shared blocks, migration. */
+void
+printCmpReport(const CmpSimConfig& config, const CmpResult& r)
+{
     std::printf("cores        %d\n", config.cores);
     std::printf("cycles       %llu\n",
                 static_cast<unsigned long long>(r.cycles));
@@ -244,9 +245,7 @@ runCmp(const Config& cfg, std::uint64_t cycles,
                 static_cast<unsigned long long>(
                     r.migration.evaluations));
     std::printf("result_hash  0x%016llx\n",
-                static_cast<unsigned long long>(
-                    hashCmpResult(r)));
-    return 0;
+                static_cast<unsigned long long>(hashCmpResult(r)));
 }
 
 } // namespace
@@ -341,8 +340,6 @@ main(int argc, char** argv)
             }
         }
 
-        const std::string bench =
-            cfg.getString("run.benchmark", "eon");
         // getInt is signed: a negative run.cycles cast straight to
         // uint64_t would wrap to ~1.8e19 and run "forever".
         const std::int64_t cycles_signed =
@@ -354,22 +351,15 @@ main(int argc, char** argv)
         const auto cycles =
             static_cast<std::uint64_t>(cycles_signed);
 
-        // More than one core tile (or a stacked DRAM die) routes
-        // through the CMP engine; plain configs keep the original
-        // single-core path and its outputs byte-for-byte.
-        if (cfg.getInt("cmp.cores", 1) > 1 ||
-            cfg.getBool("stack.dram", false)) {
-            if (!cfg.getString("run.trace_csv", "").empty())
-                inform("run.trace_csv is single-core only; "
-                       "ignored for CMP runs");
-            return runCmp(cfg, cycles, checkpoint_every,
-                          checkpoint_dir, resume);
-        }
-
+        const CmpSimConfig config = cmpConfigFromConfig(cfg);
+        CmpSimulator sim(config);
+        // One core without a stacked DRAM die is the single-core
+        // simulation: its report, result_hash and checkpoint name.
+        const bool single = config.cores == 1 && !config.stack.dram;
         const std::string ckpt_path =
-            checkpoint_dir + "/" + bench + ".ckpt";
-
-        Simulator sim(simConfigFromConfig(cfg), spec2000(bench));
+            checkpoint_dir + "/" +
+            (single ? sim.config().benchmarks.front() : "cmp") +
+            ".ckpt";
 
         ThermalTrace trace(
             sim.floorplan(),
@@ -406,44 +396,12 @@ main(int argc, char** argv)
         } else {
             sim.runTo(cycles);
         }
-        const SimResult r = sim.result();
+        const CmpResult r = sim.result();
 
-        std::printf("benchmark    %s\n", r.benchmark.c_str());
-        std::printf("cycles       %llu\n",
-                    static_cast<unsigned long long>(r.cycles));
-        std::printf("instructions %llu\n",
-                    static_cast<unsigned long long>(
-                        r.instructions));
-        std::printf("ipc          %.3f\n", r.ipc);
-        std::printf("stall_cycles %llu (%.1f%%)\n",
-                    static_cast<unsigned long long>(
-                        r.stallCycles),
-                    100.0 * r.stallCycles / r.cycles);
-        std::printf("stalls       %llu\n",
-                    static_cast<unsigned long long>(
-                        r.dtm.globalStalls));
-        std::printf("toggles      %llu\n",
-                    static_cast<unsigned long long>(
-                        r.dtm.iqToggles));
-        std::printf("turnoffs     %llu alu, %llu fp, %llu "
-                    "regfile, %llu fetch-throttle\n",
-                    static_cast<unsigned long long>(
-                        r.dtm.aluTurnoffEvents),
-                    static_cast<unsigned long long>(
-                        r.dtm.fpAdderTurnoffEvents),
-                    static_cast<unsigned long long>(
-                        r.dtm.regfileTurnoffEvents),
-                    static_cast<unsigned long long>(
-                        r.dtm.fetchThrottleEvents));
-        for (const BlockTempStats& b : r.blocks) {
-            std::printf("block %-10s avg %7.2f K   max %7.2f K\n",
-                        b.name.c_str(), b.avg, b.max);
-        }
-        // Full-SimResult FNV-1a: bit-identity fingerprint for the
-        // kill-and-resume test and for cross-run comparisons.
-        std::printf("result_hash  0x%016llx\n",
-                    static_cast<unsigned long long>(
-                        experiments::hashSimResult(r)));
+        if (single)
+            printSimReport(r.cores.front());
+        else
+            printCmpReport(config, r);
         if (!trace_path.empty()) {
             trace.writeCsv(trace_path);
             std::printf("trace        %zu samples -> %s\n",
