@@ -1,17 +1,16 @@
 #!/bin/bash
-cd /root/repo
+# Full run: the test suite, then the paper's evaluation (every
+# table, figure, ablation and claim) and the microbenchmarks.
+cd "$(dirname "$0")"
 set -x
-ctest --test-dir build 2>&1 | tee /root/repo/test_output.txt
+ctest --test-dir build 2>&1 | tee test_output.txt
 {
-  for b in build/bench/bench_table4_iq_temps build/bench/bench_table5_alu_temps \
-           build/bench/bench_table6_regfile_temps build/bench/bench_fig6_iq_ipc \
-           build/bench/bench_fig7_alu_ipc build/bench/bench_fig8_regfile_ipc \
-           build/bench/bench_ablation_toggle_threshold build/bench/bench_ablation_longwire \
-           build/bench/bench_ablation_sampling build/bench/bench_micro_thermal \
+  build/tools/tempest_sweep --paper all
+  for b in build/bench/bench_micro_thermal \
            build/bench/bench_micro_issue_queue; do
     echo "===== $b ====="
     $b
     echo
   done
-} 2>&1 | tee /root/repo/bench_output.txt
+} 2>&1 | tee bench_output.txt
 echo ALL_FINAL_RUNS_DONE

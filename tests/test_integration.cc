@@ -1,183 +1,54 @@
 /**
  * @file
- * Integration tests asserting the paper's qualitative results
- * (the orderings of §4) on shortened runs.
- *
- * These use reduced cycle counts to stay fast; the bench binaries
- * regenerate the full tables and figures.
+ * The paper's qualitative results (the orderings of §4) as checked
+ * claims: one test case per claim of the paper registry
+ * (src/sim/paper.cc), which holds each claim's jobs, seeds, cycle
+ * counts and bounds. The suite runs every claim's jobs once, in
+ * parallel, before the first case; a job that several claims read
+ * runs once. `tempest_sweep --paper claims` prints the same checks.
  */
 
 #include <gtest/gtest.h>
 
-#include "sim/experiment.hh"
+#include <string>
+#include <vector>
+
+#include "sim/paper.hh"
 
 namespace tempest
 {
 namespace
 {
 
-using namespace experiments;
-
-constexpr std::uint64_t kCycles = 12'000'000;
-
-TEST(Calibration, ConstrainedFloorplansPinTheirResource)
+class Claim : public ::testing::TestWithParam<std::size_t>
 {
-    // §3.2's criterion: under a hot workload, the constrained
-    // resource is the hottest backend block of its floorplan.
+  protected:
+    static void
+    SetUpTestSuite()
     {
-        Simulator sim(iqBase(), spec2000("eon"));
-        const SimResult r = sim.run(6'000'000);
-        EXPECT_GT(r.block("IntQ1").max, r.block("IntExec0").max);
-        EXPECT_GT(r.block("IntQ1").max, r.block("IntReg0").max);
+        ExperimentRunner runner;
+        for (const ExperimentJob& job : batch_.jobs())
+            runner.add(job);
+        outcomes_ = runner.run();
     }
-    {
-        Simulator sim(aluBase(), spec2000("eon"));
-        const SimResult r = sim.run(6'000'000);
-        EXPECT_GT(r.block("IntExec0").max, r.block("IntQ1").max);
-        EXPECT_GT(r.block("IntExec0").max, r.block("IntReg0").max);
-    }
-    {
-        Simulator sim(
-            regfileConfig(PortMapping::Priority, false),
-            spec2000("eon"));
-        const SimResult r = sim.run(6'000'000);
-        EXPECT_GT(r.block("IntReg0").max, r.block("IntQ1").max);
-        EXPECT_GT(r.block("IntReg0").max,
-                  r.block("IntExec0").max);
-    }
+
+    static inline const paper::ClaimBatch batch_;
+    static inline std::vector<ExperimentOutcome> outcomes_;
+};
+
+TEST_P(Claim, Holds)
+{
+    for (const paper::Check& check :
+         batch_.evaluate(GetParam(), outcomes_))
+        EXPECT_TRUE(check.pass) << paper::describe(check);
 }
 
-TEST(IssueQueueExperiment, TailRunsHotterThanHeadInBase)
-{
-    // Table 4's base rows: the tail half leads the head half.
-    Simulator sim(iqBase(), spec2000("eon"));
-    const SimResult r = sim.run(kCycles);
-    EXPECT_GT(r.block("IntQ1").avg, r.block("IntQ0").avg + 0.3);
-}
-
-TEST(IssueQueueExperiment, TogglingEqualizesHalves)
-{
-    // Table 4's activity-toggling rows: halves equalize.
-    SimResult base = runBenchmark(iqBase(), "eon", kCycles);
-    SimResult tog = runBenchmark(iqToggling(), "eon", kCycles);
-    const double base_gap =
-        base.block("IntQ1").avg - base.block("IntQ0").avg;
-    const double tog_gap =
-        tog.block("IntQ1").avg - tog.block("IntQ0").avg;
-    EXPECT_LT(std::abs(tog_gap), std::abs(base_gap));
-    EXPECT_GT(tog.dtm.iqToggles, 0u);
-}
-
-TEST(IssueQueueExperiment, TogglingNeverHurtsAndHelpsConstrained)
-{
-    for (const char* b : {"eon", "perlbmk"}) {
-        SimResult base = runBenchmark(iqBase(), b, kCycles);
-        SimResult tog = runBenchmark(iqToggling(), b, kCycles);
-        EXPECT_GE(tog.ipc, base.ipc * 0.995) << b;
-        EXPECT_LE(tog.stallCycles,
-                  base.stallCycles + kCycles / 100)
-            << b;
-    }
-    // Unconstrained benchmarks are untouched.
-    SimResult base = runBenchmark(iqBase(), "art", kCycles / 3);
-    SimResult tog =
-        runBenchmark(iqToggling(), "art", kCycles / 3);
-    EXPECT_DOUBLE_EQ(base.ipc, tog.ipc);
-}
-
-TEST(AluExperiment, FineGrainTurnoffBeatsBase)
-{
-    // §4.2: large speedups on ALU-constrained benchmarks.
-    SimResult base = runBenchmark(aluBase(), "perlbmk", kCycles);
-    SimResult fg =
-        runBenchmark(aluFineGrain(), "perlbmk", kCycles);
-    EXPECT_GT(fg.ipc, base.ipc * 1.10);
-    EXPECT_LT(fg.stallCycles, base.stallCycles);
-    EXPECT_GT(fg.dtm.aluTurnoffEvents, 0u);
-}
-
-TEST(AluExperiment, RoundRobinIsCloseToFineGrain)
-{
-    // Figure 7: fine-grain turnoff approaches ideal round-robin.
-    SimResult fg =
-        runBenchmark(aluFineGrain(), "perlbmk", kCycles);
-    SimResult rr =
-        runBenchmark(aluRoundRobin(), "perlbmk", kCycles);
-    EXPECT_NEAR(fg.ipc, rr.ipc, 0.15 * rr.ipc);
-}
-
-TEST(AluExperiment, UnconstrainedBenchmarkUnaffected)
-{
-    // Table 5's parser row: no overheating, no turnoffs, same IPC.
-    SimResult base = runBenchmark(aluBase(), "parser", kCycles / 2);
-    SimResult fg =
-        runBenchmark(aluFineGrain(), "parser", kCycles / 2);
-    EXPECT_DOUBLE_EQ(base.ipc, fg.ipc);
-    EXPECT_EQ(fg.dtm.aluTurnoffEvents, 0u);
-}
-
-TEST(AluExperiment, BaseAluTemperatureGradient)
-{
-    // Table 5: ALU0 runs several K hotter than ALU5 under static
-    // priority even without overheating (parser).
-    Simulator sim(aluBase(), spec2000("parser"));
-    const SimResult r = sim.run(kCycles / 2);
-    EXPECT_GT(r.block("IntExec0").avg,
-              r.block("IntExec5").avg + 2.0);
-}
-
-TEST(RegfileExperiment, PaperOrderingHolds)
-{
-    // §4.3 / Figure 8 on eon: priority+turnoff >= balanced+turnoff
-    // >= balanced-only >= priority-only.
-    const std::uint64_t cyc = kCycles;
-    SimResult po = runBenchmark(
-        regfileConfig(PortMapping::Priority, false), "eon", cyc);
-    SimResult bo = runBenchmark(
-        regfileConfig(PortMapping::Balanced, false), "eon", cyc);
-    SimResult bf = runBenchmark(
-        regfileConfig(PortMapping::Balanced, true), "eon", cyc);
-    SimResult pf = runBenchmark(
-        regfileConfig(PortMapping::Priority, true), "eon", cyc);
-    EXPECT_GE(pf.ipc, bf.ipc * 0.99);
-    // Stop-go quantization adds a few percent of noise at this
-    // run length; the full-length bench shows the strict order.
-    EXPECT_GE(bf.ipc, bo.ipc * 0.96);
-    EXPECT_GE(bo.ipc, po.ipc * 0.99);
-    // And the combination is a strict improvement over the
-    // unmanaged priority mapping. The margin is small at this
-    // run length: cooling stalls are quantized to 1.68M-cycle
-    // events, so whether the last one lands inside the 12M-cycle
-    // window moves IPC by ~14%; the full-length bench shows the
-    // >5% gap.
-    EXPECT_GT(pf.ipc, po.ipc * 1.01);
-}
-
-TEST(RegfileExperiment, PriorityMappingConcentratesHeat)
-{
-    // Table 6: under priority mapping copy 0 leads copy 1; under
-    // balanced mapping the copies are close.
-    SimResult po = runBenchmark(
-        regfileConfig(PortMapping::Priority, false), "eon",
-        kCycles / 2);
-    SimResult bo = runBenchmark(
-        regfileConfig(PortMapping::Balanced, false), "eon",
-        kCycles / 2);
-    const double po_gap =
-        po.block("IntReg0").avg - po.block("IntReg1").avg;
-    const double bo_gap =
-        bo.block("IntReg0").avg - bo.block("IntReg1").avg;
-    EXPECT_GT(po_gap, 0.5);
-    EXPECT_LT(std::abs(bo_gap), po_gap);
-}
-
-TEST(RegfileExperiment, TurnoffEventsCountedUnderPressure)
-{
-    SimResult pf = runBenchmark(
-        regfileConfig(PortMapping::Priority, true), "eon",
-        kCycles);
-    EXPECT_GT(pf.dtm.regfileTurnoffEvents, 0u);
-}
+INSTANTIATE_TEST_SUITE_P(
+    Paper, Claim,
+    ::testing::Range<std::size_t>(0, paper::claims().size()),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+        return paper::claims()[info.param].name;
+    });
 
 } // namespace
 } // namespace tempest

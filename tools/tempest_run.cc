@@ -5,15 +5,6 @@
  * Usage:
  *   tempest_run <config.ini> [key=value ...]
  *   tempest_run <config.ini> --cores N [key=value ...]
- *   tempest_run --paper-scale [measure_cycles] [--threads N]
- *
- * --paper-scale runs the paper-scale DTM sweep (four IQ-floorplan
- * technique variants x three benchmarks) through the warm-fork
- * path: each benchmark is warmed once under the base config for
- * measure_cycles/10 cycles and every variant forks its measurement
- * region (default 100M cycles) from that snapshot. Prints one row
- * per job (IPC, hottest block, DTM event counts, result hash) —
- * the numbers behind the paper-scale section of EXPERIMENTS.md.
  *
  * Any "key = value" override on the command line wins over the
  * file. See configs/ for annotated examples. Recognized keys:
@@ -58,22 +49,17 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/config.hh"
 #include "common/log.hh"
 #include "sim/checkpoint/checkpoint.hh"
 #include "sim/cmp/cmp_simulator.hh"
 #include "sim/experiment.hh"
-#include "sim/runner.hh"
 #include "sim/sim_config_io.hh"
 #include "sim/trace.hh"
 
@@ -81,91 +67,6 @@ using namespace tempest;
 
 namespace
 {
-
-/**
- * The paper-scale sweep: every IQ-floorplan DTM variant forks its
- * measurement region from one warm snapshot per benchmark. The
- * variants differ only in technique flags restoreCheckpoint
- * re-asserts, which is exactly the set warm-fork supports.
- */
-int
-runPaperScale(std::uint64_t measure_cycles, int threads)
-{
-    using namespace experiments;
-
-    auto make = [](bool toggling, bool throttle) {
-        SimConfig config = iqBase();
-        config.dtm.iqToggling = toggling;
-        config.dtm.fetchThrottling = throttle;
-        return config;
-    };
-    const std::vector<std::pair<std::string, SimConfig>> configs = {
-        {"iq_base", make(false, false)},
-        {"iq_toggling", make(true, false)},
-        {"iq_throttle", make(false, true)},
-        {"iq_toggle_throttle", make(true, true)},
-    };
-    const std::vector<std::string> benchmarks = {"art", "facerec",
-                                                 "mesa"};
-
-    WarmForkOptions warm;
-    warm.warmConfig = iqBase();
-    warm.warmupCycles = measure_cycles / 10;
-
-    ExperimentRunner::Options options;
-    options.threads = threads;
-
-    std::printf("paper-scale sweep: %zu configs x %zu benchmarks, "
-                "%llu warm-up + %llu measure cycles per job, "
-                "%d thread%s\n",
-                configs.size(), benchmarks.size(),
-                static_cast<unsigned long long>(warm.warmupCycles),
-                static_cast<unsigned long long>(measure_cycles),
-                threads, threads == 1 ? "" : "s");
-
-    const auto start = std::chrono::steady_clock::now();
-    const auto outcomes = runWarmForkSweep(
-        configs, benchmarks, measure_cycles, warm, options);
-    const double wall =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-
-    std::printf("%-20s %-8s %6s %7s %-8s %7s %8s %8s %7s  %s\n",
-                "config", "bench", "ipc", "stall%", "hot", "max_K",
-                "toggles", "throttl", "wall_s", "result_hash");
-    std::uint64_t total_cycles = 0;
-    for (const ExperimentOutcome& o : outcomes) {
-        if (!o.ok)
-            fatal("paper-scale job ", o.tag, "/", o.benchmark,
-                  " failed: ", o.error);
-        const SimResult& r = o.result;
-        const BlockTempStats& hot = *std::max_element(
-            r.blocks.begin(), r.blocks.end(),
-            [](const BlockTempStats& a, const BlockTempStats& b) {
-                return a.max < b.max;
-            });
-        std::printf("%-20s %-8s %6.3f %6.1f%% %-8s %7.2f %8llu "
-                    "%8llu %7.1f  0x%016llx\n",
-                    o.tag.c_str(), o.benchmark.c_str(), r.ipc,
-                    100.0 * r.stallCycles / r.cycles,
-                    hot.name.c_str(), hot.max,
-                    static_cast<unsigned long long>(
-                        r.dtm.iqToggles),
-                    static_cast<unsigned long long>(
-                        r.dtm.fetchThrottleEvents),
-                    o.wallSeconds,
-                    static_cast<unsigned long long>(
-                        hashSimResult(r)));
-        total_cycles += r.cycles;
-    }
-    std::printf("%zu jobs, %llu simulated cycles in %.1f s wall "
-                "(%.2f Mcycles/s aggregate)\n",
-                outcomes.size(),
-                static_cast<unsigned long long>(total_cycles),
-                wall, total_cycles / wall / 1e6);
-    return 0;
-}
 
 /** The single-core report: totals, DTM events, block temps. */
 void
@@ -256,41 +157,8 @@ main(int argc, char** argv)
     if (argc < 2) {
         std::fprintf(stderr,
                      "usage: tempest_run <config.ini> "
-                     "[--cores N] [key=value ...]\n"
-                     "       tempest_run --paper-scale "
-                     "[measure_cycles] [--threads N]\n");
+                     "[--cores N] [key=value ...]\n");
         return 2;
-    }
-
-    if (std::strcmp(argv[1], "--paper-scale") == 0) {
-        try {
-            std::uint64_t measure_cycles = 100'000'000;
-            int threads = 1;
-            for (int i = 2; i < argc; ++i) {
-                const std::string arg = argv[i];
-                if (arg == "--threads") {
-                    if (++i >= argc)
-                        fatal("--threads needs a count");
-                    threads = std::atoi(argv[i]);
-                    if (threads < 1)
-                        fatal("--threads must be >= 1");
-                } else {
-                    char* end = nullptr;
-                    errno = 0;
-                    measure_cycles =
-                        std::strtoull(argv[i], &end, 10);
-                    if (end == argv[i] || *end != '\0' ||
-                        errno == ERANGE || argv[i][0] == '-' ||
-                        measure_cycles == 0) {
-                        fatal("--paper-scale: '", argv[i],
-                              "' is not a valid cycle count");
-                    }
-                }
-            }
-            return runPaperScale(measure_cycles, threads);
-        } catch (const tempest::FatalError&) {
-            return 1;
-        }
     }
 
     try {

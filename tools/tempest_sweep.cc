@@ -1,13 +1,28 @@
 /**
  * @file
- * Sharded multi-process sweep driver (DESIGN.md §15).
+ * Sweep driver: the paper's evaluation, and the sharded
+ * multi-process sweep (DESIGN.md §15).
  *
+ *   tempest_sweep --paper <section|claims|all> [cycles]
+ *                 [--workers N] [--base-seed S]
  *   tempest_sweep --paper-scale [measure_cycles]
  *                 [--workers N] [--base-seed S]
  *                 [--spill-dir DIR] [--job-timeout SECONDS]
  *                 [--in-process]
  *   tempest_sweep --cmp-scale [cycles] [--workers N]
  *   tempest_sweep --worker-fd N       (internal: worker mode)
+ *
+ * --paper runs sections and claims of the paper registry
+ * (src/sim/paper.hh) as one batch on the in-process runner and
+ * prints Tables 4-6, Figures 6-8 and the ablations, then each
+ * claim's checks as measured value against bound. A section is
+ * one of table4, fig6, table5, fig7, table6, fig8,
+ * toggle-threshold, long-wire or sampling; `all` is every section
+ * plus the claims. [cycles] overrides every selected section's
+ * run length; the claims take none, because their bounds hold at
+ * their own fixed cycle counts. Every failed job is reported on
+ * stderr, and the exit status is 1 if any job or claim failed.
+ * Output does not depend on --workers (default: all cores).
  *
  * --cmp-scale runs the CMP/3D scaling matrix: 1-, 2- and 4-core
  * dies, flat and with a stacked DRAM layer, cross-core migration
@@ -17,27 +32,34 @@
  * with the same merge-order chain as --paper-scale, so the
  * scheduled CI sweep can gate on one digest.
  *
- * Runs the paper-scale DTM sweep (the same four IQ-floorplan
- * configurations x three benchmarks as `tempest_run
- * --paper-scale`, warm-fork discipline included) across a pool of
- * worker *processes* coordinated by src/sim/fabric. Workers are
- * exec'd copies of this binary in --worker-fd mode, so the sweep
- * exercises the exact process topology the fabric uses in CI.
+ * --paper-scale runs the paper-scale DTM sweep (four IQ-floorplan
+ * DTM variants x three benchmarks, each benchmark warmed once for
+ * measure_cycles/10 cycles and every variant forked from that
+ * snapshot) across a pool of worker *processes* coordinated by
+ * src/sim/fabric. Workers are exec'd copies of this binary in
+ * --worker-fd mode, so the sweep exercises the exact process
+ * topology the fabric uses in CI.
  *
  * --in-process runs the identical job graph through the
  * single-process experiments::runWarmForkSweep instead — the
  * reference the fabric is gated against. Both paths print one row
- * per job ending in its result_hash, plus a final `sweep_hash`
- * (FNV-1a over the per-job hashes in merge order); bit-identity
- * of the two paths means the sweep_hash lines match at any worker
- * count and across any failure/recovery history.
+ * per job (IPC, stall share, hottest block, DTM event counts)
+ * ending in its result_hash, plus a final `sweep_hash` (FNV-1a
+ * over the per-job hashes in merge order); bit-identity of the
+ * two paths means the sweep_hash lines match at any worker count
+ * and across any failure/recovery history.
  */
 
+#include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -49,6 +71,7 @@
 #include "sim/experiment.hh"
 #include "sim/fabric/coordinator.hh"
 #include "sim/fabric/worker.hh"
+#include "sim/paper.hh"
 #include "sim/runner.hh"
 #include "sim/sim_config_io.hh"
 
@@ -57,9 +80,9 @@ namespace
 
 using namespace tempest;
 
-/** The paper-scale matrix in dotted config keys: exactly the
- * SimConfigs tempest_run --paper-scale builds (an empty config is
- * iqBase(); see sim_config_io defaults). */
+/** The paper-scale matrix in dotted config keys: the four
+ * IQ-floorplan DTM variants (an empty config is iqBase(); see
+ * sim_config_io defaults). */
 std::vector<std::pair<std::string, Config>>
 paperScaleConfigs()
 {
@@ -79,16 +102,197 @@ paperScaleConfigs()
     };
 }
 
+/** `text` as a whole decimal integer; false if it is not one. */
+bool
+wholeNumber(const char* text, std::uint64_t& value)
+{
+    // strtoull alone would skip blanks, accept a sign (wrapping
+    // "-1") and stop at trailing garbage.
+    if (!std::isdigit(static_cast<unsigned char>(text[0])))
+        return false;
+    char* end = nullptr;
+    errno = 0;
+    value = std::strtoull(text, &end, 10);
+    return *end == '\0' && errno != ERANGE;
+}
+
 std::uint64_t
 parseCycles(const char* text, const char* what)
 {
-    char* end = nullptr;
-    errno = 0;
-    const std::uint64_t v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE ||
-        text[0] == '-' || v == 0)
+    std::uint64_t v = 0;
+    if (!wholeNumber(text, v) || v == 0)
         fatal(what, ": '", text, "' is not a valid cycle count");
     return v;
+}
+
+/** Flags of the sweep modes; zero means the mode's default. */
+struct Options
+{
+    std::uint64_t cycles = 0;
+    int workers = 0;
+    std::uint64_t baseSeed = 1;
+    std::string spillDir;
+    double jobTimeout = 0;
+    bool inProcess = false;
+};
+
+/**
+ * Parse argv[first..] for `mode`. --cmp-scale takes only
+ * --workers; --paper also takes --base-seed; --paper-scale takes
+ * every flag. Anything else is the positional cycle count.
+ */
+Options
+parseOptions(int argc, char** argv, int first, const char* mode)
+{
+    const bool cmp = std::strcmp(mode, "--cmp-scale") == 0;
+    const bool fabric = std::strcmp(mode, "--paper-scale") == 0;
+    Options o;
+    for (int i = first; i < argc; ++i) {
+        const std::string arg = argv[i];
+        const auto value = [&]() {
+            if (++i >= argc)
+                fatal(arg, " needs a value");
+            return argv[i];
+        };
+        std::uint64_t v = 0;
+        if (arg == "--workers") {
+            const char* text = value();
+            if (!wholeNumber(text, v) || v < 1 || v > INT_MAX)
+                fatal("--workers: '", text,
+                      "' is not a count >= 1");
+            o.workers = static_cast<int>(v);
+        } else if (arg == "--base-seed" && !cmp) {
+            const char* text = value();
+            if (!wholeNumber(text, o.baseSeed))
+                fatal("--base-seed: '", text,
+                      "' is not a non-negative integer");
+        } else if (arg == "--spill-dir" && fabric) {
+            o.spillDir = value();
+        } else if (arg == "--job-timeout" && fabric) {
+            const char* text = value();
+            char* end = nullptr;
+            errno = 0;
+            o.jobTimeout = std::strtod(text, &end);
+            if (!(std::isdigit(static_cast<unsigned char>(text[0])) ||
+                  text[0] == '.') ||
+                *end != '\0' || errno == ERANGE ||
+                !std::isfinite(o.jobTimeout))
+                fatal("--job-timeout: '", text,
+                      "' is not a number of seconds >= 0");
+        } else if (arg == "--in-process" && fabric) {
+            o.inProcess = true;
+        } else {
+            o.cycles = parseCycles(argv[i], mode);
+        }
+    }
+    return o;
+}
+
+/**
+ * Run the paper sections and claims `selector` names as one
+ * batch, print them, and @return 1 if any job or claim failed.
+ */
+int
+runPaper(const std::string& selector, const Options& o)
+{
+    const bool all = selector == "all";
+    const bool with_claims = all || selector == "claims";
+    std::vector<const paper::Section*> chosen;
+    std::string names;
+    for (const paper::Section& s : paper::sections()) {
+        if (all || s.name == selector)
+            chosen.push_back(&s);
+        names += s.name + ", ";
+    }
+    if (chosen.empty() && !with_claims)
+        fatal("--paper: unknown section '", selector, "' (", names,
+              "claims or all)");
+    if (with_claims && o.cycles)
+        fatal("--paper ", selector, ": the claims run at fixed "
+              "cycle counts; name a section to set cycles");
+
+    // One batch: every chosen section's jobs, then the claims'.
+    std::vector<ExperimentJob> jobs;
+    std::vector<std::size_t> first;
+    const auto cycles = [&](const paper::Section* s) {
+        return o.cycles ? o.cycles : s->cycles;
+    };
+    for (const paper::Section* s : chosen) {
+        first.push_back(jobs.size());
+        for (ExperimentJob& j : paper::sectionJobs(*s, cycles(s)))
+            jobs.push_back(std::move(j));
+    }
+    first.push_back(jobs.size());
+    const paper::ClaimBatch claims;
+    if (with_claims)
+        jobs.insert(jobs.end(), claims.jobs().begin(),
+                    claims.jobs().end());
+
+    ExperimentRunner::Options options;
+    options.threads = o.workers;
+    options.baseSeed = o.baseSeed;
+    ExperimentRunner runner(options);
+    for (ExperimentJob& j : jobs)
+        runner.add(std::move(j));
+    const std::vector<ExperimentOutcome> outcomes = runner.run();
+    const std::span<const ExperimentOutcome> all_outcomes(outcomes);
+
+    std::size_t failed_jobs = 0;
+    for (const ExperimentOutcome& out : outcomes) {
+        if (!out.ok) {
+            ++failed_jobs;
+            std::fprintf(stderr, "paper job %s/%s failed: %s\n",
+                         out.tag.c_str(), out.benchmark.c_str(),
+                         out.error.c_str());
+        }
+    }
+
+    for (std::size_t i = 0; i < chosen.size(); ++i) {
+        const auto slice =
+            all_outcomes.subspan(first[i], first[i + 1] - first[i]);
+        if (std::any_of(slice.begin(), slice.end(),
+                        [](const ExperimentOutcome& out) {
+                            return !out.ok;
+                        })) {
+            std::fprintf(stderr, "%s: not printed, a job failed\n",
+                         chosen[i]->name.c_str());
+            continue;
+        }
+        chosen[i]->render(paper::Results(slice));
+        std::printf("(%zu runs of %llu cycles, base seed %llu)\n",
+                    slice.size(),
+                    static_cast<unsigned long long>(cycles(chosen[i])),
+                    static_cast<unsigned long long>(o.baseSeed));
+    }
+
+    std::size_t failed_claims = 0;
+    if (with_claims) {
+        std::printf("\n== Claims: §4's results on shortened runs "
+                    "==\n");
+        const auto claim_outcomes = all_outcomes.subspan(first.back());
+        for (std::size_t c = 0; c < paper::claims().size(); ++c) {
+            const std::vector<paper::Check> checks =
+                claims.evaluate(c, claim_outcomes);
+            const bool holds =
+                std::all_of(checks.begin(), checks.end(),
+                            [](const paper::Check& k) {
+                                return k.pass;
+                            });
+            failed_claims += holds ? 0 : 1;
+            std::printf("%-6s %s\n", holds ? "holds" : "FAILS",
+                        paper::claims()[c].name.c_str());
+            for (const paper::Check& k : checks)
+                std::printf("         %s\n",
+                            paper::describe(k).c_str());
+        }
+        std::printf("%zu of %zu claims hold\n",
+                    paper::claims().size() - failed_claims,
+                    paper::claims().size());
+    }
+    if (failed_jobs)
+        std::fprintf(stderr, "%zu of %zu paper jobs failed\n",
+                     failed_jobs, outcomes.size());
+    return failed_jobs || failed_claims ? 1 : 0;
 }
 
 /** Print the result table; @return (all ok, sweep hash). */
@@ -97,8 +301,10 @@ report(const std::vector<ExperimentOutcome>& outcomes)
 {
     bool all_ok = true;
     std::uint64_t sweep_hash = 0xcbf29ce484222325ULL;
-    std::printf("%-20s %-8s %6s %8s %7s  %s\n", "config", "bench",
-                "ipc", "cycles_M", "wall_s", "result_hash");
+    std::printf("%-20s %-8s %6s %7s %-8s %7s %8s %8s %8s %7s  %s\n",
+                "config", "bench", "ipc", "stall%", "hot", "max_K",
+                "toggles", "throttl", "cycles_M", "wall_s",
+                "result_hash");
     for (const ExperimentOutcome& o : outcomes) {
         if (!o.ok) {
             std::printf("%-20s %-8s FAILED: %s\n", o.tag.c_str(),
@@ -106,12 +312,23 @@ report(const std::vector<ExperimentOutcome>& outcomes)
             all_ok = false;
             continue;
         }
-        const std::uint64_t h =
-            experiments::hashSimResult(o.result);
-        std::printf("%-20s %-8s %6.3f %8.1f %7.2f  0x%016llx\n",
-                    o.tag.c_str(), o.benchmark.c_str(),
-                    o.result.ipc, o.result.cycles / 1e6,
-                    o.wallSeconds,
+        const SimResult& r = o.result;
+        const BlockTempStats& hot = *std::max_element(
+            r.blocks.begin(), r.blocks.end(),
+            [](const BlockTempStats& a, const BlockTempStats& b) {
+                return a.max < b.max;
+            });
+        const std::uint64_t h = experiments::hashSimResult(r);
+        std::printf("%-20s %-8s %6.3f %6.1f%% %-8s %7.2f %8llu "
+                    "%8llu %8.1f %7.2f  0x%016llx\n",
+                    o.tag.c_str(), o.benchmark.c_str(), r.ipc,
+                    100.0 * r.stallCycles / r.cycles,
+                    hot.name.c_str(), hot.max,
+                    static_cast<unsigned long long>(
+                        r.dtm.iqToggles),
+                    static_cast<unsigned long long>(
+                        r.dtm.fetchThrottleEvents),
+                    r.cycles / 1e6, o.wallSeconds,
                     static_cast<unsigned long long>(h));
         // Merge-order hash chain: any reordering, dropped shard,
         // or bit difference changes the final digest.
@@ -201,6 +418,99 @@ runCmpScale(std::uint64_t cycles, int threads)
     return 0;
 }
 
+/**
+ * The paper-scale sweep through the fabric (or, --in-process,
+ * through runWarmForkSweep); `self` is this binary, exec'd as
+ * the workers. @return 0 if every job succeeded.
+ */
+int
+runPaperScale(const Options& o, const char* self)
+{
+    const std::uint64_t measure_cycles =
+        o.cycles ? o.cycles : 100'000'000;
+    const int workers = o.workers ? o.workers : 1;
+
+    // The fabric ships warm snapshots by file path; give it a
+    // private spill directory when the caller didn't.
+    std::string spill_dir = o.spillDir;
+    char made_dir[] = "/tmp/tempest_sweep_XXXXXX";
+    bool own_spill = false;
+    if (spill_dir.empty() && !o.inProcess) {
+        if (!mkdtemp(made_dir))
+            fatal("cannot create spill dir: errno ", errno);
+        spill_dir = made_dir;
+        own_spill = true;
+    }
+
+    fabric::SweepSpec spec;
+    spec.configs = paperScaleConfigs();
+    spec.benchmarks = {"art", "facerec", "mesa"};
+    spec.measureCycles = measure_cycles;
+    fabric::WarmSpec warm;
+    // warmConfig left empty: the dotted-key default IS the
+    // neutral iqBase() warm-up.
+    warm.warmupCycles = measure_cycles / 10;
+
+    const std::string pool =
+        o.inProcess ? "in-process"
+                    : std::to_string(workers) + " worker process(es)";
+    std::printf("paper-scale sweep: %zu configs x %zu "
+                "benchmarks, %llu warm-up + %llu measure "
+                "cycles per job, %s\n",
+                spec.configs.size(), spec.benchmarks.size(),
+                static_cast<unsigned long long>(warm.warmupCycles),
+                static_cast<unsigned long long>(measure_cycles),
+                pool.c_str());
+
+    // det:allow is a src/-only lint rule, but keep the idiom:
+    // wall time here is reporting only.
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<ExperimentOutcome> outcomes;
+    if (o.inProcess) {
+        std::vector<std::pair<std::string, SimConfig>> configs;
+        configs.reserve(spec.configs.size());
+        for (const auto& [tag, cfg] : spec.configs)
+            configs.emplace_back(tag, simConfigFromConfig(cfg));
+        experiments::WarmForkOptions wf;
+        wf.warmConfig = simConfigFromConfig(warm.warmConfig);
+        wf.warmupCycles = warm.warmupCycles;
+        wf.warmTag = warm.warmTag;
+        wf.spillDir = spill_dir;
+        ExperimentRunner::Options options;
+        options.threads = workers;
+        options.baseSeed = o.baseSeed;
+        outcomes = experiments::runWarmForkSweep(
+            configs, spec.benchmarks, measure_cycles, wf, options);
+    } else {
+        fabric::FabricOptions options;
+        options.workers = workers;
+        options.baseSeed = o.baseSeed;
+        options.spillDir = spill_dir;
+        options.workerCommand = {self};
+        options.jobTimeoutSeconds = o.jobTimeout;
+        options.onEvent = [](const std::string& msg) {
+            std::fprintf(stderr, "fabric: %s\n", msg.c_str());
+        };
+        fabric::FabricCoordinator coordinator(options);
+        outcomes = coordinator.runWarmForkSweep(spec, warm);
+    }
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+
+    const auto [all_ok, sweep_hash] = report(outcomes);
+    std::printf("%zu jobs in %.1f s wall\n", outcomes.size(), wall);
+    std::printf("sweep_hash 0x%016llx\n",
+                static_cast<unsigned long long>(sweep_hash));
+
+    if (own_spill) {
+        for (const std::string& b : spec.benchmarks)
+            ::unlink((spill_dir + "/warm_" + b + ".ckpt").c_str());
+        ::rmdir(spill_dir.c_str());
+    }
+    return all_ok ? 0 : 1;
+}
+
 } // namespace
 
 int
@@ -211,7 +521,9 @@ main(int argc, char** argv)
     if (argc < 2) {
         std::fprintf(
             stderr,
-            "usage: tempest_sweep --paper-scale [measure_cycles] "
+            "usage: tempest_sweep --paper <section|claims|all> "
+            "[cycles] [--workers N] [--base-seed S]\n"
+            "       tempest_sweep --paper-scale [measure_cycles] "
             "[--workers N] [--base-seed S] [--spill-dir DIR] "
             "[--job-timeout SECONDS] [--in-process]\n"
             "       tempest_sweep --cmp-scale [cycles] "
@@ -220,7 +532,8 @@ main(int argc, char** argv)
         return 2;
     }
 
-    if (std::strcmp(argv[1], "--worker-fd") == 0) {
+    const char* mode = argv[1];
+    if (std::strcmp(mode, "--worker-fd") == 0) {
         if (argc < 3) {
             std::fprintf(stderr,
                          "--worker-fd needs a descriptor\n");
@@ -234,159 +547,24 @@ main(int argc, char** argv)
         return fabric::workerMain(fd);
     }
 
-    if (std::strcmp(argv[1], "--cmp-scale") == 0) {
-        try {
-            std::uint64_t cycles = 10'000'000;
-            int threads = 1;
-            for (int i = 2; i < argc; ++i) {
-                const std::string arg = argv[i];
-                if (arg == "--workers") {
-                    if (++i >= argc)
-                        fatal("--workers needs a count");
-                    threads = std::atoi(argv[i]);
-                    if (threads < 1)
-                        fatal("--workers must be >= 1");
-                } else {
-                    cycles = parseCycles(argv[i], "--cmp-scale");
-                }
-            }
-            return runCmpScale(cycles, threads);
-        } catch (const tempest::FatalError&) {
-            return 1;
-        }
-    }
-
-    if (std::strcmp(argv[1], "--paper-scale") != 0) {
-        std::fprintf(stderr, "unknown mode '%s'\n", argv[1]);
-        return 2;
-    }
-
     try {
-        std::uint64_t measure_cycles = 100'000'000;
-        int workers = 1;
-        std::uint64_t base_seed = 1;
-        std::string spill_dir;
-        double job_timeout = 0;
-        bool in_process = false;
-        for (int i = 2; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg == "--workers") {
-                if (++i >= argc)
-                    fatal("--workers needs a count");
-                workers = std::atoi(argv[i]);
-                if (workers < 1)
-                    fatal("--workers must be >= 1");
-            } else if (arg == "--base-seed") {
-                if (++i >= argc)
-                    fatal("--base-seed needs a value");
-                base_seed = parseCycles(argv[i], "--base-seed");
-            } else if (arg == "--spill-dir") {
-                if (++i >= argc)
-                    fatal("--spill-dir needs a directory");
-                spill_dir = argv[i];
-            } else if (arg == "--job-timeout") {
-                if (++i >= argc)
-                    fatal("--job-timeout needs seconds");
-                job_timeout = std::atof(argv[i]);
-                if (job_timeout < 0)
-                    fatal("--job-timeout must be >= 0");
-            } else if (arg == "--in-process") {
-                in_process = true;
-            } else {
-                measure_cycles =
-                    parseCycles(argv[i], "--paper-scale");
-            }
+        if (std::strcmp(mode, "--paper") == 0) {
+            if (argc < 3)
+                fatal("--paper needs a section, claims or all");
+            return runPaper(argv[2],
+                            parseOptions(argc, argv, 3, mode));
         }
-
-        // The fabric ships warm snapshots by file path; give it a
-        // private spill directory when the caller didn't.
-        char made_dir[] = "/tmp/tempest_sweep_XXXXXX";
-        bool own_spill = false;
-        if (spill_dir.empty() && !in_process) {
-            if (!mkdtemp(made_dir))
-                fatal("cannot create spill dir: errno ", errno);
-            spill_dir = made_dir;
-            own_spill = true;
+        if (std::strcmp(mode, "--cmp-scale") == 0) {
+            const Options o = parseOptions(argc, argv, 2, mode);
+            return runCmpScale(o.cycles ? o.cycles : 10'000'000,
+                               o.workers ? o.workers : 1);
         }
-
-        fabric::SweepSpec spec;
-        spec.configs = paperScaleConfigs();
-        spec.benchmarks = {"art", "facerec", "mesa"};
-        spec.measureCycles = measure_cycles;
-        fabric::WarmSpec warm;
-        // warmConfig left empty: the dotted-key default IS the
-        // neutral iqBase() warm-up tempest_run uses.
-        warm.warmupCycles = measure_cycles / 10;
-
-        const std::string pool =
-            in_process ? "in-process"
-                       : std::to_string(workers) +
-                             " worker process(es)";
-        std::printf("paper-scale sweep: %zu configs x %zu "
-                    "benchmarks, %llu warm-up + %llu measure "
-                    "cycles per job, %s\n",
-                    spec.configs.size(), spec.benchmarks.size(),
-                    static_cast<unsigned long long>(
-                        warm.warmupCycles),
-                    static_cast<unsigned long long>(
-                        measure_cycles),
-                    pool.c_str());
-
-        // det:allow is a src/-only lint rule, but keep the idiom:
-        // wall time here is reporting only.
-        const auto start = std::chrono::steady_clock::now();
-        std::vector<ExperimentOutcome> outcomes;
-        if (in_process) {
-            std::vector<std::pair<std::string, SimConfig>>
-                configs;
-            configs.reserve(spec.configs.size());
-            for (const auto& [tag, cfg] : spec.configs)
-                configs.emplace_back(tag,
-                                     simConfigFromConfig(cfg));
-            experiments::WarmForkOptions wf;
-            wf.warmConfig =
-                simConfigFromConfig(warm.warmConfig);
-            wf.warmupCycles = warm.warmupCycles;
-            wf.warmTag = warm.warmTag;
-            wf.spillDir = spill_dir;
-            ExperimentRunner::Options options;
-            options.threads = workers;
-            options.baseSeed = base_seed;
-            outcomes = experiments::runWarmForkSweep(
-                configs, spec.benchmarks, measure_cycles, wf,
-                options);
-        } else {
-            fabric::FabricOptions options;
-            options.workers = workers;
-            options.baseSeed = base_seed;
-            options.spillDir = spill_dir;
-            options.workerCommand = {argv[0]};
-            options.jobTimeoutSeconds = job_timeout;
-            options.onEvent = [](const std::string& msg) {
-                std::fprintf(stderr, "fabric: %s\n", msg.c_str());
-            };
-            fabric::FabricCoordinator coordinator(options);
-            outcomes = coordinator.runWarmForkSweep(spec, warm);
-        }
-        const double wall =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-
-        const auto [all_ok, sweep_hash] = report(outcomes);
-        std::printf("%zu jobs in %.1f s wall\n", outcomes.size(),
-                    wall);
-        std::printf("sweep_hash 0x%016llx\n",
-                    static_cast<unsigned long long>(sweep_hash));
-
-        if (own_spill) {
-            for (const std::string& b : spec.benchmarks)
-                ::unlink((spill_dir + "/warm_" + b + ".ckpt")
-                             .c_str());
-            ::rmdir(spill_dir.c_str());
-        }
-        return all_ok ? 0 : 1;
+        if (std::strcmp(mode, "--paper-scale") == 0)
+            return runPaperScale(parseOptions(argc, argv, 2, mode),
+                                 argv[0]);
     } catch (const tempest::FatalError&) {
         return 1;
     }
+    std::fprintf(stderr, "unknown mode '%s'\n", mode);
+    return 2;
 }
