@@ -839,7 +839,8 @@ sections()
 }
 
 std::vector<ExperimentJob>
-sectionJobs(const Section& section, std::uint64_t cycles)
+sectionJobs(const Section& section, std::uint64_t cycles,
+            std::uint64_t base_seed)
 {
     std::vector<ExperimentJob> jobs;
     for (const auto& [tag, config] : section.configs) {
@@ -848,7 +849,10 @@ sectionJobs(const Section& section, std::uint64_t cycles)
             job.tag = tag;
             job.benchmark = benchmark;
             job.config = config;
+            job.config.runSeed =
+                deriveRunSeed(base_seed, benchmark, "paper");
             job.cycles = cycles;
+            job.deriveSeed = false;
             jobs.push_back(std::move(job));
         }
     }

@@ -51,7 +51,6 @@ struct Section
 {
     /** `tempest_sweep --paper` selector, e.g. "fig6". */
     std::string name;
-    /** Tagged configurations; the tag is part of the job's seed. */
     std::vector<std::pair<std::string, SimConfig>> configs;
     std::vector<std::string> benchmarks;
     /** Default simulated cycles per run. */
@@ -64,11 +63,14 @@ struct Section
 const std::vector<Section>& sections();
 
 /**
- * The section's jobs at `cycles` per run, configs-major. Each
- * job's seed derives from (runner base seed, benchmark, tag).
+ * The section's jobs at `cycles` per run, configs-major. Every job
+ * of a benchmark runs seed deriveRunSeed(base_seed, benchmark,
+ * "paper"), so all configurations see the same instruction stream:
+ * the paper compares DTM policies on the same workload.
  */
 std::vector<ExperimentJob> sectionJobs(const Section& section,
-                                       std::uint64_t cycles);
+                                       std::uint64_t cycles,
+                                       std::uint64_t base_seed);
 
 /** One measured value against its bound. */
 struct Check

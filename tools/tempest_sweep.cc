@@ -20,9 +20,12 @@
  * toggle-threshold, long-wire or sampling; `all` is every section
  * plus the claims. [cycles] overrides every selected section's
  * run length; the claims take none, because their bounds hold at
- * their own fixed cycle counts. Every failed job is reported on
- * stderr, and the exit status is 1 if any job or claim failed.
- * Output does not depend on --workers (default: all cores).
+ * their own fixed cycle counts. Within a section every
+ * configuration of a benchmark runs the same seed, derived from
+ * (--base-seed, benchmark); the claims keep their fixed seeds.
+ * Every failed job is reported on stderr, and the exit status is
+ * 1 if any job or claim failed. Output does not depend on
+ * --workers (default: all cores).
  *
  * --cmp-scale runs the CMP/3D scaling matrix: 1-, 2- and 4-core
  * dies, flat and with a stacked DRAM layer, cross-core migration
@@ -219,7 +222,8 @@ runPaper(const std::string& selector, const Options& o)
     };
     for (const paper::Section* s : chosen) {
         first.push_back(jobs.size());
-        for (ExperimentJob& j : paper::sectionJobs(*s, cycles(s)))
+        for (ExperimentJob& j :
+             paper::sectionJobs(*s, cycles(s), o.baseSeed))
             jobs.push_back(std::move(j));
     }
     first.push_back(jobs.size());
@@ -230,7 +234,6 @@ runPaper(const std::string& selector, const Options& o)
 
     ExperimentRunner::Options options;
     options.threads = o.workers;
-    options.baseSeed = o.baseSeed;
     ExperimentRunner runner(options);
     for (ExperimentJob& j : jobs)
         runner.add(std::move(j));
