@@ -2,7 +2,7 @@
  * @file
  * End-to-end wall-clock throughput tracking.
  *
- * Unlike the table/figure benches (which report *simulated*
+ * Unlike tempest_sweep --paper (which reports *simulated*
  * quantities), this binary measures how fast the simulator itself
  * runs: simulated cycles per wall-clock second over a Table-4
  * style sweep (IQ-constrained base + toggling configurations), for
@@ -83,7 +83,7 @@ benchmarkList()
             out.push_back(item);
         return out;
     }
-    return {"art", "facerec", "mesa"}; // the Table 4 bench's set
+    return {"art", "facerec", "mesa"}; // Table 4's benchmarks
 }
 
 std::vector<std::pair<std::string, SimConfig>>

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iterator>
+#include <string_view>
 
 #include "common/log.hh"
 #include "sim/experiment.hh"
@@ -505,46 +506,18 @@ makeSections()
 
 // ---- Claims ----
 
+/** The check `measured op bound`. */
 Check
-make(std::string what, double measured, const char* op,
-     double bound, bool pass)
+check(std::string what, double measured, const char* op,
+      double bound)
 {
+    const std::string_view o = op;
+    const bool pass = o == ">"    ? measured > bound
+                      : o == ">=" ? measured >= bound
+                      : o == "<"  ? measured < bound
+                      : o == "<=" ? measured <= bound
+                                  : measured == bound;
     return {std::move(what), measured, op, bound, pass};
-}
-
-Check
-gt(std::string what, double measured, double bound)
-{
-    return make(std::move(what), measured, ">", bound,
-                measured > bound);
-}
-
-Check
-ge(std::string what, double measured, double bound)
-{
-    return make(std::move(what), measured, ">=", bound,
-                measured >= bound);
-}
-
-Check
-lt(std::string what, double measured, double bound)
-{
-    return make(std::move(what), measured, "<", bound,
-                measured < bound);
-}
-
-Check
-le(std::string what, double measured, double bound)
-{
-    return make(std::move(what), measured, "<=", bound,
-                measured <= bound);
-}
-
-Check
-eq(std::string what, double measured, double bound)
-{
-    return make(std::move(what), measured, "==", bound,
-                measured == bound);
 }
 
 double
@@ -619,19 +592,18 @@ makeClaims()
                  return r[i].block(b).max;
              };
              return std::vector<Check>{
-                 gt("iq floorplan: IntQ1 max vs IntExec0 max",
-                    max(0, "IntQ1"), max(0, "IntExec0")),
-                 gt("iq floorplan: IntQ1 max vs IntReg0 max",
-                    max(0, "IntQ1"), max(0, "IntReg0")),
-                 gt("alu floorplan: IntExec0 max vs IntQ1 max",
-                    max(1, "IntExec0"), max(1, "IntQ1")),
-                 gt("alu floorplan: IntExec0 max vs IntReg0 max",
-                    max(1, "IntExec0"), max(1, "IntReg0")),
-                 gt("regfile floorplan: IntReg0 max vs IntQ1 max",
-                    max(2, "IntReg0"), max(2, "IntQ1")),
-                 gt("regfile floorplan: IntReg0 max vs IntExec0 "
-                    "max",
-                    max(2, "IntReg0"), max(2, "IntExec0")),
+                 check("iq floorplan: IntQ1 max vs IntExec0 max",
+                       max(0, "IntQ1"), ">", max(0, "IntExec0")),
+                 check("iq floorplan: IntQ1 max vs IntReg0 max",
+                       max(0, "IntQ1"), ">", max(0, "IntReg0")),
+                 check("alu floorplan: IntExec0 max vs IntQ1 max",
+                       max(1, "IntExec0"), ">", max(1, "IntQ1")),
+                 check("alu floorplan: IntExec0 max vs IntReg0 max",
+                       max(1, "IntExec0"), ">", max(1, "IntReg0")),
+                 check("regfile floorplan: IntReg0 max vs IntQ1 max",
+                       max(2, "IntReg0"), ">", max(2, "IntQ1")),
+                 check("regfile floorplan: IntReg0 max vs IntExec0 max",
+                       max(2, "IntReg0"), ">", max(2, "IntExec0")),
              };
          }});
 
@@ -641,9 +613,9 @@ makeClaims()
          {iqBaseJob("eon", kCycles)},
          [](const std::vector<SimResult>& r) {
              return std::vector<Check>{
-                 gt("eon base: IntQ1 avg vs IntQ0 avg + 0.3 K",
-                    r[0].block("IntQ1").avg,
-                    r[0].block("IntQ0").avg + 0.3)};
+                 check("eon base: IntQ1 avg vs IntQ0 avg + 0.3 K",
+                       r[0].block("IntQ1").avg, ">",
+                       r[0].block("IntQ0").avg + 0.3)};
          }});
 
     // Table 4's activity-toggling rows: halves equalize.
@@ -655,10 +627,10 @@ makeClaims()
                  return s.block("IntQ1").avg - s.block("IntQ0").avg;
              };
              return std::vector<Check>{
-                 lt("eon: |toggling IQ half gap| vs |base gap| (K)",
-                    std::abs(gap(r[1])), std::abs(gap(r[0]))),
-                 gt("eon toggling: IQ toggles",
-                    count(r[1].dtm.iqToggles), 0)};
+                 check("eon: |toggling IQ half gap| vs |base gap| (K)",
+                       std::abs(gap(r[1])), "<", std::abs(gap(r[0]))),
+                 check("eon toggling: IQ toggles",
+                       count(r[1].dtm.iqToggles), ">", 0)};
          }});
 
     // Toggling never hurts, helps the constrained benchmarks, and
@@ -677,16 +649,16 @@ makeClaims()
                  const SimResult& tog = r[i + 1];
                  const std::string b = base.benchmark;
                  checks.push_back(
-                     ge(b + ": toggling IPC vs 0.995 x base IPC",
-                        tog.ipc, base.ipc * 0.995));
+                     check(b + ": toggling IPC vs 0.995 x base IPC",
+                           tog.ipc, ">=", base.ipc * 0.995));
                  checks.push_back(
-                     le(b + ": toggling stall cycles vs base + 1% "
-                            "of the run",
-                        count(tog.stallCycles),
-                        count(base.stallCycles + kCycles / 100)));
+                     check(b + ": toggling stall cycles vs base + 1% "
+                               "of the run",
+                           count(tog.stallCycles), "<=",
+                           count(base.stallCycles + kCycles / 100)));
              }
-             checks.push_back(eq("art: toggling IPC vs base IPC",
-                                 r[5].ipc, r[4].ipc));
+             checks.push_back(check("art: toggling IPC vs base IPC",
+                                    r[5].ipc, "==", r[4].ipc));
              return checks;
          }});
 
@@ -699,12 +671,13 @@ makeClaims()
              const SimResult& base = r[0];
              const SimResult& fg = r[1];
              return std::vector<Check>{
-                 gt("perlbmk: fine-grain IPC vs 1.10 x base IPC",
-                    fg.ipc, base.ipc * 1.10),
-                 lt("perlbmk: fine-grain stall cycles vs base",
-                    count(fg.stallCycles), count(base.stallCycles)),
-                 gt("perlbmk fine-grain: ALU turnoffs",
-                    count(fg.dtm.aluTurnoffEvents), 0)};
+                 check("perlbmk: fine-grain IPC vs 1.10 x base IPC",
+                       fg.ipc, ">", base.ipc * 1.10),
+                 check("perlbmk: fine-grain stall cycles vs base",
+                       count(fg.stallCycles), "<",
+                       count(base.stallCycles)),
+                 check("perlbmk fine-grain: ALU turnoffs",
+                       count(fg.dtm.aluTurnoffEvents), ">", 0)};
          }});
 
     // Figure 7: fine-grain turnoff approaches ideal round-robin.
@@ -717,9 +690,9 @@ makeClaims()
              const double fg = r[0].ipc;
              const double rr = r[1].ipc;
              return std::vector<Check>{
-                 le("perlbmk: |fine-grain IPC - round-robin IPC| vs "
-                    "0.15 x round-robin IPC",
-                    std::abs(fg - rr), 0.15 * rr)};
+                 check("perlbmk: |fine-grain IPC - round-robin IPC| vs "
+                       "0.15 x round-robin IPC",
+                       std::abs(fg - rr), "<=", 0.15 * rr)};
          }});
 
     // Table 5's parser row: no overheating, no turnoffs, same IPC.
@@ -729,10 +702,10 @@ makeClaims()
           aluFineGrainJob("parser", kCycles / 2)},
          [](const std::vector<SimResult>& r) {
              return std::vector<Check>{
-                 eq("parser: fine-grain IPC vs base IPC", r[1].ipc,
-                    r[0].ipc),
-                 eq("parser fine-grain: ALU turnoffs",
-                    count(r[1].dtm.aluTurnoffEvents), 0)};
+                 check("parser: fine-grain IPC vs base IPC",
+                       r[1].ipc, "==", r[0].ipc),
+                 check("parser fine-grain: ALU turnoffs",
+                       count(r[1].dtm.aluTurnoffEvents), "==", 0)};
          }});
 
     // Table 5: ALU0 runs several K hotter than ALU5 under static
@@ -742,10 +715,9 @@ makeClaims()
          {aluBaseJob("parser", kCycles / 2)},
          [](const std::vector<SimResult>& r) {
              return std::vector<Check>{
-                 gt("parser base: IntExec0 avg vs IntExec5 avg + "
-                    "2 K",
-                    r[0].block("IntExec0").avg,
-                    r[0].block("IntExec5").avg + 2.0)};
+                 check("parser base: IntExec0 avg vs IntExec5 avg + 2 K",
+                       r[0].block("IntExec0").avg, ">",
+                       r[0].block("IntExec5").avg + 2.0)};
          }});
 
     // §4.3 / Figure 8 on eon: priority+turnoff >= balanced+turnoff
@@ -762,24 +734,23 @@ makeClaims()
              const double bf = r[2].ipc;
              const double pf = r[3].ipc;
              return std::vector<Check>{
-                 ge("eon: priority+FG IPC vs 0.99 x balanced+FG",
-                    pf, bf * 0.99),
+                 check("eon: priority+FG IPC vs 0.99 x balanced+FG",
+                       pf, ">=", bf * 0.99),
                  // Stop-go quantization adds a few percent of
-                 // noise at this run length; the full-length
-                 // sweep shows the strict order.
-                 ge("eon: balanced+FG IPC vs 0.96 x balanced-only",
-                    bf, bo * 0.96),
-                 ge("eon: balanced-only IPC vs 0.99 x priority-only",
-                    bo, po * 0.99),
+                 // noise at this run length.
+                 check("eon: balanced+FG IPC vs 0.96 x balanced-only",
+                       bf, ">=", bo * 0.96),
+                 check("eon: balanced-only IPC vs 0.99 x priority-only",
+                       bo, ">=", po * 0.99),
                  // And the combination is a strict improvement
                  // over the unmanaged priority mapping. The margin
                  // is small at this run length: cooling stalls are
                  // quantized to 1.68M-cycle events, so whether the
                  // last one lands inside the 12M-cycle window
-                 // moves IPC by ~14%; the full-length sweep shows
-                 // the >5% gap.
-                 gt("eon: priority+FG IPC vs 1.01 x priority-only",
-                    pf, po * 1.01)};
+                 // moves IPC by ~14%; Table 6 and Figure 8 show a
+                 // >5% gap.
+                 check("eon: priority+FG IPC vs 1.01 x priority-only",
+                       pf, ">", po * 1.01)};
          }});
 
     // Table 6: under priority mapping copy 0 leads copy 1; under
@@ -794,12 +765,11 @@ makeClaims()
                         s.block("IntReg1").avg;
              };
              return std::vector<Check>{
-                 gt("eon priority-only: IntReg0 avg - IntReg1 avg "
-                    "(K)",
-                    gap(r[0]), 0.5),
-                 lt("eon: |balanced-only copy gap| vs "
-                    "priority-only gap (K)",
-                    std::abs(gap(r[1])), gap(r[0]))};
+                 check("eon priority-only: IntReg0 - IntReg1 avg (K)",
+                       gap(r[0]), ">", 0.5),
+                 check("eon: |balanced-only copy gap| vs "
+                       "priority-only gap (K)",
+                       std::abs(gap(r[1])), "<", gap(r[0]))};
          }});
 
     out.push_back(
@@ -807,8 +777,8 @@ makeClaims()
          {regfileJob(PortMapping::Priority, true, kCycles)},
          [](const std::vector<SimResult>& r) {
              return std::vector<Check>{
-                 gt("eon priority+FG: regfile turnoffs",
-                    count(r[0].dtm.regfileTurnoffEvents), 0)};
+                 check("eon priority+FG: regfile turnoffs",
+                       count(r[0].dtm.regfileTurnoffEvents), ">", 0)};
          }});
     return out;
 }
@@ -902,9 +872,9 @@ ClaimBatch::evaluate(std::size_t c,
     for (const std::size_t i : uses_.at(c)) {
         const ExperimentOutcome& o = outcomes[i];
         if (!o.ok) {
-            return {make("job " + o.tag + "/" + o.benchmark +
-                             " failed: " + o.error,
-                         0, "", 0, false)};
+            return {Check{"job " + o.tag + "/" + o.benchmark +
+                              " failed: " + o.error,
+                          0, "", 0, false}};
         }
         runs.push_back(o.result);
     }

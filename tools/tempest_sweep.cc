@@ -157,9 +157,9 @@ parseOptions(int argc, char** argv, int first, const char* mode)
                 fatal(arg, " needs a value");
             return argv[i];
         };
-        std::uint64_t v = 0;
         if (arg == "--workers") {
             const char* text = value();
+            std::uint64_t v = 0;
             if (!wholeNumber(text, v) || v < 1 || v > INT_MAX)
                 fatal("--workers: '", text,
                       "' is not a count >= 1");
@@ -215,28 +215,25 @@ runPaper(const std::string& selector, const Options& o)
               "cycle counts; name a section to set cycles");
 
     // One batch: every chosen section's jobs, then the claims'.
-    std::vector<ExperimentJob> jobs;
+    ExperimentRunner::Options options;
+    options.threads = o.workers;
+    ExperimentRunner runner(options);
     std::vector<std::size_t> first;
     const auto cycles = [&](const paper::Section* s) {
         return o.cycles ? o.cycles : s->cycles;
     };
     for (const paper::Section* s : chosen) {
-        first.push_back(jobs.size());
+        first.push_back(runner.pending());
         for (ExperimentJob& j :
              paper::sectionJobs(*s, cycles(s), o.baseSeed))
-            jobs.push_back(std::move(j));
+            runner.add(std::move(j));
     }
-    first.push_back(jobs.size());
+    first.push_back(runner.pending());
     const paper::ClaimBatch claims;
-    if (with_claims)
-        jobs.insert(jobs.end(), claims.jobs().begin(),
-                    claims.jobs().end());
-
-    ExperimentRunner::Options options;
-    options.threads = o.workers;
-    ExperimentRunner runner(options);
-    for (ExperimentJob& j : jobs)
-        runner.add(std::move(j));
+    if (with_claims) {
+        for (const ExperimentJob& j : claims.jobs())
+            runner.add(j);
+    }
     const std::vector<ExperimentOutcome> outcomes = runner.run();
     const std::span<const ExperimentOutcome> all_outcomes(outcomes);
 
