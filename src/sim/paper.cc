@@ -457,14 +457,11 @@ makeSections()
           });
 
     std::vector<std::pair<std::string, SimConfig>> long_wire;
-    for (std::size_t i = 0; i < std::size(kLongWire); ++i) {
-        for (auto [name, config] :
-             {std::pair{"base", iqBase()},
-              std::pair{"toggling", iqToggling()}}) {
-            config.energy.iqLongCompaction = kLongWire[i];
-            long_wire.emplace_back(tagFor(name, i), config);
-        }
-    }
+    const auto set_wire = [](SimConfig& c, double v) {
+        c.energy.iqLongCompaction = v;
+    };
+    sweep(long_wire, "base", kLongWire, iqBase(), set_wire);
+    sweep(long_wire, "toggling", kLongWire, iqToggling(), set_wire);
 
     std::vector<std::pair<std::string, SimConfig>> sampling;
     sweep(sampling, "interval", kSampleIntervals, aluFineGrain(),

@@ -35,7 +35,8 @@ namespace paper
 class Results
 {
   public:
-    /** Index the outcomes of one section's jobs (all ok). */
+    /** Index the outcomes of one section's jobs (all ok); they
+     * must outlive this object, which points into them. */
     explicit Results(std::span<const ExperimentOutcome> outcomes);
 
     /** Result of (tag, benchmark); fatal if absent. */

@@ -1,6 +1,6 @@
 /**
  * @file
- * Sweep driver: the paper's evaluation, and the sharded
+ * Sweeps: the paper's evaluation, and the sharded
  * multi-process sweep (DESIGN.md §15).
  *
  *   tempest_sweep --paper <section|claims|all> [cycles]

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regression tests for tempest_sweep's flags and its --paper driver.
+"""Regression tests for tempest_sweep's flags and its --paper mode.
 
 Flag parsing: three bugs, all of the silently-wrong variety:
 
@@ -13,7 +13,7 @@ Flag parsing: three bugs, all of the silently-wrong variety:
 
 Each bad value must now fail with the flag named.
 
-Driver smoke: every --paper section except the claims runs at
+Smoke: every --paper section except the claims runs at
 100000 cycles with --workers 1 and --workers 4; each run exits 0
 and prints byte-identical stdout. The claims refuse a cycle count.
 
