@@ -875,7 +875,7 @@ ClaimBatch::evaluate(std::size_t c,
         }
         runs.push_back(o.result);
     }
-    return claims()[c].check(runs);
+    return claims()[c].checks(runs);
 }
 
 } // namespace paper

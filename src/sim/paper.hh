@@ -101,7 +101,7 @@ struct Claim
      */
     std::vector<ExperimentJob> jobs;
     /** Checks over the results of `jobs`, in order. */
-    std::vector<Check> (*check)(const std::vector<SimResult>& runs) =
+    std::vector<Check> (*checks)(const std::vector<SimResult>& runs) =
         nullptr;
 };
 
