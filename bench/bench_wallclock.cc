@@ -7,20 +7,19 @@
  * runs: simulated cycles per wall-clock second over a Table-4
  * style sweep (IQ-constrained base + toggling configurations), for
  * both transient thermal solvers and for serial vs 8-thread
- * execution on the parallel runner, plus the CMP engine at 1/2/4
- * cores. Results go to stdout as a table and to
+ * execution on the thread backend, plus warm-fork against cold
+ * sweeps, the process backend at 1/2/8 workers, and the CMP
+ * engine at 1/2/4 cores. Results go to stdout as a table and to
  * BENCH_wallclock.json so perf regressions are visible across
  * commits (see tools/record_bench.py).
  *
- * The serial and threaded sweeps must produce bit-identical
- * simulation results (the runner's core guarantee); this binary
- * re-checks that and fails if they diverge, so the perf numbers
- * can never come from a run that silently changed behaviour.
+ * Every section runs its jobs twice, on two backends or pool
+ * sizes, and fails unless both passes hash bit-identically, so
+ * the perf numbers can never come from a run that silently
+ * changed behaviour.
  *
  * Environment knobs:
  * - TEMPEST_CYCLES: simulated cycles per run (default 2,000,000)
- * - TEMPEST_BENCHMARKS: comma-separated benchmark subset
- * - TEMPEST_SEED: base seed for per-run seed derivation
  * - TEMPEST_SMOKE: set for a fast CI pass (200,000 cycles)
  * - TEMPEST_BENCH_JSON: output path (default BENCH_wallclock.json)
  */
@@ -28,23 +27,71 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/log.hh"
-#include "sim/cmp/cmp_simulator.hh"
 #include "sim/experiment.hh"
 #include "sim/fabric/coordinator.hh"
+#include "sim/paper.hh"
 #include "sim/runner.hh"
-#include "sim/sim_config_io.hh"
 
 namespace tempest
 {
 namespace
 {
+
+/** Table 4's benchmarks; every section sweeps them at seed 1. */
+const std::vector<std::string> kBenchmarks = {"art", "facerec",
+                                              "mesa"};
+
+/** Run `fn()` and @return (wall seconds, its outcomes); fatal if
+ * a job failed. */
+template <typename Fn>
+std::pair<double, std::vector<Outcome>>
+timed(const char* what, Fn&& fn)
+{
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<Outcome> outcomes = fn();
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    for (const Outcome& o : outcomes) {
+        if (!o.ok)
+            fatal(what, " job ", o.tag, "/", o.benchmark,
+                  " failed: ", o.error);
+    }
+    return {wall, std::move(outcomes)};
+}
+
+/** fatal() unless both passes hash bit-identically, job by job:
+ * a concurrency bug can never masquerade as a speedup. */
+void
+checkIdentical(const char* what, const std::vector<Outcome>& a,
+               const std::vector<Outcome>& b)
+{
+    if (a.size() != b.size())
+        fatal(what, ": the two passes ran different job counts");
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (hashCmpResult(a[i].result) != hashCmpResult(b[i].result))
+            fatal(what, ": results diverged for job ", a[i].tag, "/",
+                  a[i].benchmark);
+    }
+}
+
+std::uint64_t
+simCycles(const std::vector<Outcome>& outcomes)
+{
+    std::uint64_t n = 0;
+    for (const Outcome& o : outcomes) {
+        for (const SimResult& c : o.result.cores)
+            n += c.cycles;
+    }
+    return n;
+}
 
 struct SweepTiming
 {
@@ -53,7 +100,7 @@ struct SweepTiming
     double wallSeconds = 0.0;
     std::uint64_t simCycles = 0;
     std::size_t jobs = 0;
-    std::vector<ExperimentOutcome> outcomes;
+    std::vector<Outcome> outcomes;
 
     double
     cyclesPerSecond() const
@@ -64,91 +111,25 @@ struct SweepTiming
     }
 };
 
-std::uint64_t
-envU64(const char* name, std::uint64_t fallback)
+SweepTiming
+timeSweep(ThermalSolver solver, int threads, std::uint64_t cycles)
 {
-    if (const char* env = std::getenv(name))
-        return static_cast<std::uint64_t>(std::atoll(env));
-    return fallback;
-}
-
-std::vector<std::string>
-benchmarkList()
-{
-    if (const char* env = std::getenv("TEMPEST_BENCHMARKS")) {
-        std::vector<std::string> out;
-        std::stringstream ss(env);
-        std::string item;
-        while (std::getline(ss, item, ','))
-            out.push_back(item);
-        return out;
-    }
-    return {"art", "facerec", "mesa"}; // Table 4's benchmarks
-}
-
-std::vector<std::pair<std::string, SimConfig>>
-sweepConfigs(ThermalSolver solver)
-{
+    SweepTiming t;
+    t.solver = solver == ThermalSolver::Expm ? "expm" : "euler";
+    t.threads = threads;
     std::vector<std::pair<std::string, SimConfig>> configs = {
         {"iq_base", experiments::iqBase()},
         {"iq_toggling", experiments::iqToggling()},
     };
     for (auto& [tag, config] : configs)
         config.thermal.solver = solver;
-    return configs;
-}
-
-SweepTiming
-timeSweep(ThermalSolver solver, int threads,
-          const std::vector<std::string>& benchmarks,
-          std::uint64_t cycles, std::uint64_t base_seed)
-{
-    SweepTiming t;
-    t.solver = solver == ThermalSolver::Expm ? "expm" : "euler";
-    t.threads = threads;
-
-    ExperimentRunner::Options options;
-    options.threads = threads;
-    options.baseSeed = base_seed;
-
-    const auto configs = sweepConfigs(solver);
-    const auto start = std::chrono::steady_clock::now();
-    t.outcomes = experiments::runSweep(configs, benchmarks, cycles,
-                                       options);
-    const auto end = std::chrono::steady_clock::now();
-    t.wallSeconds =
-        std::chrono::duration<double>(end - start).count();
-
-    for (const ExperimentOutcome& o : t.outcomes) {
-        if (!o.ok)
-            fatal("sweep job ", o.tag, "/", o.benchmark,
-                  " failed: ", o.error);
-        t.simCycles += o.result.cycles;
-    }
+    const std::vector<Job> jobs =
+        experiments::sweepJobs(configs, kBenchmarks, cycles, 1);
+    std::tie(t.wallSeconds, t.outcomes) =
+        timed("sweep", [&] { return runJobs(jobs, threads); });
+    t.simCycles = simCycles(t.outcomes);
     t.jobs = t.outcomes.size();
     return t;
-}
-
-/** The runner's serial/parallel bit-identity, re-checked here so a
- * concurrency bug can never masquerade as a speedup. */
-void
-checkIdentical(const SweepTiming& serial,
-               const SweepTiming& threaded)
-{
-    if (serial.outcomes.size() != threaded.outcomes.size())
-        fatal("serial/threaded sweeps ran different job counts");
-    for (std::size_t i = 0; i < serial.outcomes.size(); ++i) {
-        const SimResult& a = serial.outcomes[i].result;
-        const SimResult& b = threaded.outcomes[i].result;
-        if (a.ipc != b.ipc || a.cycles != b.cycles ||
-            a.instructions != b.instructions ||
-            a.stallCycles != b.stallCycles) {
-            fatal("serial vs ", threaded.threads,
-                  "-thread results diverged for job ",
-                  serial.outcomes[i].tag, "/",
-                  serial.outcomes[i].benchmark);
-        }
-    }
 }
 
 /** Warm-fork vs cold-sweep timing (see DESIGN.md §11). */
@@ -170,26 +151,6 @@ struct WarmForkTiming
     }
 };
 
-/** Four DTM variants on the IQ-constrained floorplan: warm-fork
- * requires every fork to share the warm-up's geometry, and these
- * differ only in technique flags restoreCheckpoint re-asserts. */
-std::vector<std::pair<std::string, SimConfig>>
-warmForkConfigs()
-{
-    auto make = [](bool toggling, bool throttle) {
-        SimConfig config = experiments::iqBase();
-        config.dtm.iqToggling = toggling;
-        config.dtm.fetchThrottling = throttle;
-        return config;
-    };
-    return {
-        {"iq_base", make(false, false)},
-        {"iq_toggling", make(true, false)},
-        {"iq_throttle", make(false, true)},
-        {"iq_toggle_throttle", make(true, true)},
-    };
-}
-
 /**
  * Time the warm-fork path against the cold sweep it replaces: the
  * cold sweep simulates warm-up + measurement in every job; the
@@ -198,74 +159,40 @@ warmForkConfigs()
  * are checked bit-identical before any number is reported.
  */
 WarmForkTiming
-timeWarmFork(const std::vector<std::string>& benchmarks,
-             std::uint64_t cycles, std::uint64_t base_seed)
+timeWarmFork(std::uint64_t cycles)
 {
-    const auto configs = warmForkConfigs();
+    const auto configs = paper::scaleConfigs();
     WarmForkTiming t;
     t.configs = configs.size();
     t.warmupCycles = cycles / 2;
     t.measureCycles = cycles - t.warmupCycles;
 
-    ExperimentRunner::Options serial_options;
-    serial_options.threads = 1;
-    serial_options.baseSeed = base_seed;
-
-    experiments::WarmForkOptions warm;
-    warm.warmConfig = experiments::iqBase();
-    warm.warmupCycles = t.warmupCycles;
-
-    auto timed = [](auto&& fn) {
-        const auto start = std::chrono::steady_clock::now();
-        auto outcomes = fn();
-        const double wall =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        for (const ExperimentOutcome& o : outcomes) {
-            if (!o.ok)
-                fatal("warm-fork bench job ", o.tag, "/",
-                      o.benchmark, " failed: ", o.error);
-        }
-        return std::make_pair(wall, std::move(outcomes));
+    const experiments::SpillDir spill;
+    const std::vector<Job> jobs = experiments::warmForkJobs(
+        configs, kBenchmarks, experiments::iqBase(), t.warmupCycles,
+        t.measureCycles, 1, spill.path());
+    const auto on = [&](int threads) {
+        return [&jobs, threads] {
+            return experiments::runWarmFork(
+                jobs, [threads](const std::vector<Job>& batch) {
+                    return runJobs(batch, threads);
+                });
+        };
     };
-
-    auto [cold_wall, cold] = timed([&] {
-        return experiments::runSweep(configs, benchmarks, cycles,
-                                     serial_options);
-    });
-    t.coldWallSeconds = cold_wall;
-
-    auto [warm_wall, warm_serial] = timed([&] {
-        return experiments::runWarmForkSweep(
-            configs, benchmarks, t.measureCycles, warm,
-            serial_options);
-    });
+    const std::vector<Job> cold =
+        experiments::sweepJobs(configs, kBenchmarks, cycles, 1);
+    t.coldWallSeconds =
+        timed("warm-fork bench", [&] { return runJobs(cold, 1); })
+            .first;
+    auto [warm_wall, serial] = timed("warm-fork bench", on(1));
+    auto [threaded_wall, threaded] = timed("warm-fork bench", on(8));
     t.warmWallSeconds = warm_wall;
-
-    ExperimentRunner::Options threaded_options = serial_options;
-    threaded_options.threads = 8;
-    auto [threaded_wall, warm_threaded] = timed([&] {
-        return experiments::runWarmForkSweep(
-            configs, benchmarks, t.measureCycles, warm,
-            threaded_options);
-    });
     t.threadedWallSeconds = threaded_wall;
-
-    if (warm_serial.size() != warm_threaded.size())
-        fatal("warm-fork serial/threaded job counts diverged");
-    for (std::size_t i = 0; i < warm_serial.size(); ++i) {
-        if (experiments::hashSimResult(warm_serial[i].result) !=
-            experiments::hashSimResult(warm_threaded[i].result)) {
-            fatal("warm-fork serial vs 8-thread results diverged "
-                  "for job ", warm_serial[i].tag, "/",
-                  warm_serial[i].benchmark);
-        }
-    }
+    checkIdentical("warm-fork serial vs 8-thread", serial, threaded);
     return t;
 }
 
-/** Multi-process fabric vs in-process runner (DESIGN.md §15). */
+/** Process backend vs the serial thread backend (DESIGN.md §15). */
 struct FabricTiming
 {
     std::size_t jobs = 0;
@@ -275,96 +202,35 @@ struct FabricTiming
     std::vector<std::pair<int, double>> pools;
 };
 
-/** The paper's four DTM variants in the dotted-key vocabulary the
- * fabric ships over the wire (sim_config_io). */
-std::vector<std::pair<std::string, Config>>
-fabricConfigs()
-{
-    auto make = [](bool toggling, bool throttle) {
-        Config cfg;
-        if (toggling)
-            cfg.set("dtm.toggling", "true");
-        if (throttle)
-            cfg.set("dtm.fetch_throttling", "true");
-        return cfg;
-    };
-    return {
-        {"iq_base", make(false, false)},
-        {"iq_toggling", make(true, false)},
-        {"iq_throttle", make(false, true)},
-        {"iq_toggle_throttle", make(true, true)},
-    };
-}
-
 /**
- * Time the sweep fabric at 1/2/8 worker processes against the
- * serial in-process runner on the same job matrix. The workers=1
- * row measures pure coordinator overhead (fork + IPC + result
+ * Time the process backend at 1/2/8 worker processes against the
+ * serial thread backend on the same job list. The workers=1 row
+ * measures pure coordinator overhead (fork + IPC + result
  * transport); larger pools measure process-level scaling. Every
  * pool's outcome set is checked bit-identical to the in-process
  * reference before any number is reported.
  */
 FabricTiming
-timeFabric(const std::vector<std::string>& benchmarks,
-           std::uint64_t cycles, std::uint64_t base_seed)
+timeFabric(std::uint64_t cycles)
 {
-    fabric::SweepSpec spec;
-    spec.configs = fabricConfigs();
-    spec.benchmarks = benchmarks;
-    spec.measureCycles = cycles;
-
-    std::vector<std::pair<std::string, SimConfig>> sim_configs;
-    for (const auto& [tag, config] : spec.configs)
-        sim_configs.emplace_back(tag, simConfigFromConfig(config));
-
-    ExperimentRunner::Options serial_options;
-    serial_options.threads = 1;
-    serial_options.baseSeed = base_seed;
-
+    const std::vector<Job> jobs = experiments::sweepJobs(
+        paper::scaleConfigs(), kBenchmarks, cycles, 1);
     FabricTiming t;
-    auto start = std::chrono::steady_clock::now();
-    const auto reference = experiments::runSweep(
-        sim_configs, benchmarks, cycles, serial_options);
-    t.inProcessWallSeconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    for (const ExperimentOutcome& o : reference) {
-        if (!o.ok)
-            fatal("fabric bench reference job ", o.tag, "/",
-                  o.benchmark, " failed: ", o.error);
-        t.simCycles += o.result.cycles;
-    }
+    auto [wall, reference] =
+        timed("fabric bench", [&] { return runJobs(jobs, 1); });
+    t.inProcessWallSeconds = wall;
+    t.simCycles = simCycles(reference);
     t.jobs = reference.size();
 
     for (const int workers : {1, 2, 8}) {
         fabric::FabricOptions options;
         options.workers = workers;
-        options.baseSeed = base_seed;
         fabric::FabricCoordinator coordinator(options);
-        start = std::chrono::steady_clock::now();
-        const auto outcomes = coordinator.runSweep(spec);
-        const double wall =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        if (outcomes.size() != reference.size())
-            fatal("fabric sweep at ", workers,
-                  " workers ran a different job count");
-        for (std::size_t i = 0; i < outcomes.size(); ++i) {
-            if (!outcomes[i].ok)
-                fatal("fabric bench job ", outcomes[i].tag, "/",
-                      outcomes[i].benchmark,
-                      " failed: ", outcomes[i].error);
-            if (experiments::hashSimResult(outcomes[i].result) !=
-                experiments::hashSimResult(reference[i].result)) {
-                fatal("fabric sweep at ", workers,
-                      " workers diverged from the in-process "
-                      "runner for job ", outcomes[i].tag, "/",
-                      outcomes[i].benchmark);
-            }
-        }
-        t.pools.emplace_back(workers, wall);
+        auto [pool_wall, outcomes] = timed(
+            "fabric bench", [&] { return coordinator.runJobs(jobs); });
+        checkIdentical("process backend vs thread backend",
+                       reference, outcomes);
+        t.pools.emplace_back(workers, pool_wall);
     }
     return t;
 }
@@ -384,52 +250,35 @@ struct CmpTiming
 };
 
 /**
- * Time 1/2/4-core lockstep runs. Hash-gated like every other
- * section: the serial pass and a 3-thread runCmpJobs pass must
- * produce identical result hashes before any number is reported,
- * so a concurrency bug can't masquerade as a speedup. The reported
- * wall times come from the serial pass (one simulator per row, no
- * pool interference).
+ * Time the flat 1/2/4-core jobs of the --cmp-scale matrix.
+ * Hash-gated like every other section: the serial pass and a
+ * 3-thread pass must produce identical result hashes before any
+ * number is reported. The reported wall times come from the
+ * serial pass (one simulator per row, no pool interference).
  */
 CmpTiming
 timeCmp(std::uint64_t cycles)
 {
-    const std::vector<std::string> mix = {"art", "mesa", "eon",
-                                          "mcf"};
-    std::vector<CmpJob> jobs;
-    for (const int cores : {1, 2, 4}) {
-        CmpJob job;
-        job.tag = std::to_string(cores) + "core";
-        job.config.base = experiments::iqBase();
-        job.config.cores = cores;
-        job.config.benchmarks.assign(mix.begin(),
-                                     mix.begin() + cores);
-        job.config.migration.enabled = cores > 1;
-        job.cycles = cycles;
-        jobs.push_back(std::move(job));
+    std::vector<Job> jobs;
+    for (const Job& job : paper::cmpScaleJobs(cycles)) {
+        if (!job.config.stack.dram)
+            jobs.push_back(job);
     }
-
-    const std::vector<CmpJobOutcome> serial = runCmpJobs(jobs, 1);
-    const std::vector<CmpJobOutcome> pooled = runCmpJobs(jobs, 3);
-    if (serial.size() != pooled.size())
-        fatal("cmp bench serial/pooled job counts diverged");
+    const auto serial =
+        timed("cmp bench", [&] { return runJobs(jobs, 1); }).second;
+    const auto pooled =
+        timed("cmp bench", [&] { return runJobs(jobs, 3); }).second;
+    checkIdentical("cmp serial vs 3-thread", serial, pooled);
 
     CmpTiming t;
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        if (serial[i].hash != pooled[i].hash)
-            fatal("cmp bench serial vs 3-thread results diverged "
-                  "for job ", serial[i].tag);
-        CmpTiming::Row row;
-        row.tag = serial[i].tag;
-        row.cores = serial[i].result.cores.empty()
-                        ? 0
-                        : static_cast<int>(
-                              serial[i].result.cores.size());
-        row.wallSeconds = serial[i].wallSeconds;
-        for (const SimResult& c : serial[i].result.cores)
+    for (const Outcome& o : serial) {
+        CmpTiming::Row& row = t.rows.emplace_back();
+        row.tag = o.tag;
+        row.cores = static_cast<int>(o.result.cores.size());
+        row.wallSeconds = o.wallSeconds;
+        for (const SimResult& c : o.result.cores)
             row.simCycles += c.cycles;
-        row.hash = serial[i].hash;
-        t.rows.push_back(std::move(row));
+        row.hash = hashCmpResult(o.result);
     }
     return t;
 }
@@ -562,19 +411,17 @@ int
 run()
 {
     const bool smoke = std::getenv("TEMPEST_SMOKE") != nullptr;
-    const std::uint64_t cycles =
-        envU64("TEMPEST_CYCLES", smoke ? 200'000 : 2'000'000);
-    const std::uint64_t base_seed = envU64("TEMPEST_SEED", 1);
-    const std::vector<std::string> benchmarks = benchmarkList();
+    std::uint64_t cycles = smoke ? 200'000 : 2'000'000;
+    if (const char* env = std::getenv("TEMPEST_CYCLES"))
+        cycles = static_cast<std::uint64_t>(std::atoll(env));
 
     std::vector<SweepTiming> timings;
     for (const ThermalSolver solver :
          {ThermalSolver::Expm, ThermalSolver::Euler}) {
-        SweepTiming serial =
-            timeSweep(solver, 1, benchmarks, cycles, base_seed);
-        SweepTiming threaded =
-            timeSweep(solver, 8, benchmarks, cycles, base_seed);
-        checkIdentical(serial, threaded);
+        SweepTiming serial = timeSweep(solver, 1, cycles);
+        SweepTiming threaded = timeSweep(solver, 8, cycles);
+        checkIdentical("serial vs 8-thread sweep", serial.outcomes,
+                       threaded.outcomes);
         timings.push_back(std::move(serial));
         timings.push_back(std::move(threaded));
     }
@@ -603,8 +450,7 @@ run()
         std::printf("serial expm/euler throughput ratio: %.2fx\n",
                     expm / euler);
 
-    const WarmForkTiming warm_fork =
-        timeWarmFork(benchmarks, cycles, base_seed);
+    const WarmForkTiming warm_fork = timeWarmFork(cycles);
     std::printf(
         "warm-fork sweep (%zu configs, %llu warm-up + %llu "
         "measure cycles): cold %.2fs, warm-fork %.2fs serial "
@@ -615,8 +461,7 @@ run()
         warm_fork.coldWallSeconds, warm_fork.warmWallSeconds,
         warm_fork.speedup(), warm_fork.threadedWallSeconds);
 
-    const FabricTiming fabric_timing =
-        timeFabric(benchmarks, cycles, base_seed);
+    const FabricTiming fabric_timing = timeFabric(cycles);
     std::printf("fabric sweep (%zu jobs, in-process %.2fs):",
                 fabric_timing.jobs,
                 fabric_timing.inProcessWallSeconds);
@@ -647,7 +492,7 @@ run()
 
     const char* json = std::getenv("TEMPEST_BENCH_JSON");
     writeJson(json ? json : "BENCH_wallclock.json", timings,
-              warm_fork, fabric_timing, cmp_timing, benchmarks,
+              warm_fork, fabric_timing, cmp_timing, kBenchmarks,
               cycles);
     return 0;
 }

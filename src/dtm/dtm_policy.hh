@@ -101,6 +101,8 @@ struct DtmConfig
     bool fetchThrottling = false;
     Kelvin fetchThrottleMarginK = 1.0;
     int fetchThrottleInterval = 4;
+
+    bool operator==(const DtmConfig&) const = default;
 };
 
 /** What the simulator must do after a sensor sample. */

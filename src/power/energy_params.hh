@@ -34,9 +34,9 @@ struct EnergyParams
      * toggled configuration categorically hotter than the
      * conventional one — contradicting the paper's measured
      * behaviour. We model the wrap path as segmented low-swing
-     * drivers at 0.015 nJ by default; bench_ablation_longwire
-     * sweeps this value (including the paper's) to expose the
-     * crossover. See DESIGN.md.
+     * drivers at 0.015 nJ by default; tempest_sweep --paper
+     * long-wire sweeps this value (including the paper's) to
+     * expose the crossover. See DESIGN.md.
      */
     Joule iqLongCompaction = 0.015e-9;
     /** The paper's Table 3 long-compaction figure, for ablation. */
@@ -89,6 +89,8 @@ struct EnergyParams
      * non-stalled cycles (the stop-clock stall gates it off).
      */
     double clockWattsPerSquareMeter = 5.0e5; ///< 0.5 W/mm^2
+
+    bool operator==(const EnergyParams&) const = default;
 };
 
 } // namespace tempest

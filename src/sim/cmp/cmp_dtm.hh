@@ -66,6 +66,7 @@ struct CmpMigrationConfig
 
     /** fatal() on out-of-range values. */
     void validate() const;
+    bool operator==(const CmpMigrationConfig&) const = default;
 };
 
 /** Migration counters, reported alongside per-core DtmStats. */

@@ -1,7 +1,6 @@
 #include "sim/cmp/cmp_simulator.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 
 #include "common/log.hh"
@@ -766,27 +765,6 @@ hashCmpResult(const CmpResult& r)
         h = hashU64(h, static_cast<std::uint64_t>(t));
     h = hashU64(h, r.cycles);
     return h;
-}
-
-std::vector<CmpJobOutcome>
-runCmpJobs(const std::vector<CmpJob>& jobs, int threads)
-{
-    std::vector<CmpJobOutcome> outcomes(jobs.size());
-    // Each worker owns outcomes[i] exclusively once it claims i.
-    experiments::parallelFor(jobs.size(), threads, [&](std::size_t i) {
-        const CmpJob& job = jobs[i];
-        // det:allow(wallSeconds metric only; never feeds simulation state)
-        const auto start = std::chrono::steady_clock::now();
-        CmpSimulator sim(job.config);
-        CmpJobOutcome& out = outcomes[i];
-        out.tag = job.tag;
-        out.result = sim.run(job.cycles);
-        out.hash = hashCmpResult(out.result);
-        const auto end = std::chrono::steady_clock::now(); // det:allow(wallSeconds metric only; never feeds simulation state)
-        out.wallSeconds =
-            std::chrono::duration<double>(end - start).count();
-    });
-    return outcomes;
 }
 
 } // namespace tempest

@@ -71,6 +71,7 @@ struct CmpStackConfig
 
     /** fatal() on out-of-range values. */
     void validate() const;
+    bool operator==(const CmpStackConfig&) const = default;
 };
 
 /** Everything needed to instantiate one CMP simulation. */
@@ -99,6 +100,7 @@ struct CmpSimConfig
 
     /** fatal() on inconsistent values. */
     void validate() const;
+    bool operator==(const CmpSimConfig&) const = default;
 };
 
 /** End-of-run results for one CMP simulation. */
@@ -293,32 +295,6 @@ class CmpSimulator
     std::vector<Kelvin> tileHottestScratch_;
     std::vector<std::uint8_t> eligibleScratch_;
 };
-
-/** One parameterized CMP run for the sweep drivers. */
-struct CmpJob
-{
-    std::string tag; ///< row label (reports, hashes)
-    CmpSimConfig config;
-    std::uint64_t cycles = 0;
-};
-
-/** Result of one CmpJob. */
-struct CmpJobOutcome
-{
-    std::string tag;
-    CmpResult result;
-    std::uint64_t hash = 0;     ///< hashCmpResult(result)
-    double wallSeconds = 0.0;   ///< not hashed
-};
-
-/**
- * Run jobs on `threads` worker threads (>= 1). Outcomes come back
- * in job order regardless of scheduling, and each job is a fully
- * independent CmpSimulator, so the results are identical for any
- * thread count (the 1/2/8-thread stability test holds this).
- */
-std::vector<CmpJobOutcome> runCmpJobs(const std::vector<CmpJob>& jobs,
-                                      int threads);
 
 } // namespace tempest
 

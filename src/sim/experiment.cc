@@ -77,21 +77,13 @@ SimResult
 runBenchmark(const SimConfig& config, const std::string& benchmark,
              std::uint64_t cycles)
 {
-    // One-job submission through the runner's serial path, so the
-    // serial and parallel APIs share a single execution routine.
-    // The caller's runSeed is kept as-is (no sweep-level seed
-    // derivation).
-    ExperimentJob job;
-    job.tag = benchmark;
-    job.benchmark = benchmark;
-    job.config = config;
-    job.cycles = cycles;
-    job.deriveSeed = false;
-    ExperimentOutcome out =
-        ExperimentRunner::runJob(job, config.runSeed);
+    // One job through the executor's job function, so there is a
+    // single execution routine. The caller's runSeed is kept.
+    const Outcome out =
+        runJob(singleCoreJob(benchmark, config, benchmark, cycles));
     if (!out.ok)
         throw FatalError(out.error);
-    return out.result;
+    return out.result.cores.front();
 }
 
 double

@@ -14,7 +14,6 @@
 #include <string>
 
 #include "common/log.hh"
-#include "sim/experiment.hh"
 #include "sim/fabric/worker.hh"
 
 namespace tempest
@@ -69,22 +68,21 @@ struct Proc
     bool alive() const { return fd >= 0; }
 };
 
-ExperimentOutcome
-outcomeFrom(const FabricJob& job, const FabricResult& res)
+/** Why `job` cannot travel to a worker, or "" if it can: the
+ * worker rebuilds the config from the job message, so any field
+ * the dotted keys do not carry must hold its default. */
+std::string
+refusal(const Job& job)
 {
-    ExperimentOutcome out;
-    out.tag = job.tag;
-    out.benchmark = job.benchmark;
-    out.seed = job.seed;
-    out.error = res.error;
-    out.wallSeconds = res.wallSeconds;
-    if (res.ok && res.hasResult) {
-        out.ok = true;
-        out.result = res.result;
-    } else if (res.ok) {
-        out.error = "worker returned no result payload";
+    try {
+        if (parseJob(serve::Json::parse(encodeJob(0, job)))
+                .second.config == job.config)
+            return "";
+    } catch (const std::exception& e) {
+        return e.what();
     }
-    return out;
+    return "its config has a field the dotted config keys do not "
+           "carry";
 }
 
 } // namespace
@@ -96,40 +94,44 @@ FabricCoordinator::event(const std::string& message) const
         options_.onEvent(message);
 }
 
-std::vector<FabricResult>
-FabricCoordinator::runJobs(const std::vector<FabricJob>& jobs)
+std::vector<Outcome>
+FabricCoordinator::runJobs(const std::vector<Job>& jobs)
 {
     const std::size_t total = jobs.size();
-    std::vector<FabricResult> results(total);
-    for (std::size_t i = 0; i < total; ++i) {
-        if (jobs[i].index != i)
-            fatal("fabric job list is not densely indexed: "
-                  "position ", i, " has index ", jobs[i].index);
-        results[i].index = i;
-        results[i].error = "job was never executed";
-    }
-    if (total == 0)
-        return results;
-
+    std::vector<Outcome> results;
+    results.reserve(total);
     std::deque<std::size_t> queue;
-    for (std::size_t i = 0; i < total; ++i)
-        queue.push_back(i);
     std::vector<int> attempts(total, 0);
     std::vector<char> done(total, 0);
     std::size_t completed = 0;
+    auto jobName = [&](std::size_t i) {
+        return results[i].tag + "/" + results[i].benchmark;
+    };
+    for (std::size_t i = 0; i < total; ++i) {
+        results.emplace_back(jobs[i]);
+        const std::string why = refusal(jobs[i]);
+        if (why.empty()) {
+            results[i].error = "job was never executed";
+            queue.push_back(i);
+        } else {
+            results[i].error = "job " + jobName(i) +
+                               " cannot run in a worker process: " +
+                               why;
+            done[i] = 1;
+            ++completed;
+        }
+    }
+    if (queue.empty())
+        return results;
 
     const int target = static_cast<int>(std::min<std::size_t>(
         static_cast<std::size_t>(std::max(options_.workers, 1)),
-        total));
+        queue.size()));
     int respawns_left = options_.respawnBudget >= 0
                             ? options_.respawnBudget
                             : 2 * target + 2;
 
     std::vector<Proc> procs;
-
-    auto jobName = [&](std::size_t i) {
-        return jobs[i].tag + "/" + jobs[i].benchmark;
-    };
 
     auto spawnOne = [&]() -> bool {
         int sv[2];
@@ -215,7 +217,7 @@ FabricCoordinator::runJobs(const std::vector<FabricJob>& jobs)
     auto processLine = [&](Proc& p,
                            const std::string& line) -> bool {
         serve::Json doc;
-        FabricResult res;
+        std::pair<std::size_t, Outcome> reply;
         try {
             doc = serve::Json::parse(line);
             const serve::Json* op = doc.find("op");
@@ -230,34 +232,29 @@ FabricCoordinator::runJobs(const std::vector<FabricJob>& jobs)
                       "' from worker " + std::to_string(p.pid));
                 return true;
             }
-            res = parseResult(doc);
+            reply = parseResult(doc);
         } catch (const std::exception& e) {
             event("corrupt message from worker " +
                   std::to_string(p.pid) + ": " + e.what());
             return false;
         }
-        if (res.index >= total ||
-            p.job != static_cast<std::ptrdiff_t>(res.index)) {
+        auto& [index, res] = reply;
+        if (index >= total ||
+            p.job != static_cast<std::ptrdiff_t>(index)) {
             // A reply for a job this worker doesn't hold means
             // the stream is desynchronized; killing the worker
             // re-queues its real shard.
             event("unexpected result for job " +
-                  std::to_string(res.index) + " from worker " +
+                  std::to_string(index) + " from worker " +
                   std::to_string(p.pid));
             return false;
         }
-        if (res.ok && res.hasResult &&
-            experiments::hashSimResult(res.result) !=
-                res.resultHash) {
-            res.ok = false;
-            res.error = "result hash mismatch "
-                        "(transport corruption)";
-            res.hasResult = false;
-            event("hash mismatch on job " + jobName(res.index) +
-                  " from worker " + std::to_string(p.pid));
-        }
-        results[res.index] = res;
-        done[res.index] = 1;
+        Outcome& out = results[index];
+        out.ok = res.ok;
+        out.error = std::move(res.error);
+        out.result = std::move(res.result);
+        out.wallSeconds = res.wallSeconds;
+        done[index] = 1;
         ++completed;
         p.job = -1;
         return true;
@@ -300,7 +297,7 @@ FabricCoordinator::runJobs(const std::vector<FabricJob>& jobs)
                 nowSeconds() + options_.jobTimeoutSeconds;
             event("dispatched " + jobName(j) + " to worker " +
                   std::to_string(p.pid));
-            if (!sendLine(p.fd, encodeJob(jobs[j])))
+            if (!sendLine(p.fd, encodeJob(j, jobs[j])))
                 markDead(p, "send failed");
         }
         if (completed >= total)
@@ -446,111 +443,6 @@ FabricCoordinator::runJobs(const std::vector<FabricJob>& jobs)
         markDead(p, "pool shutdown");
     }
     return results;
-}
-
-std::vector<ExperimentOutcome>
-FabricCoordinator::runSweep(const SweepSpec& spec)
-{
-    std::vector<FabricJob> jobs;
-    jobs.reserve(spec.configs.size() * spec.benchmarks.size());
-    for (const auto& [tag, config] : spec.configs) {
-        for (const std::string& benchmark : spec.benchmarks) {
-            FabricJob job;
-            job.kind = FabricJob::Kind::Run;
-            job.index = jobs.size();
-            job.tag = tag;
-            job.benchmark = benchmark;
-            job.cycles = spec.measureCycles;
-            job.seed = deriveRunSeed(options_.baseSeed, benchmark,
-                                     tag);
-            job.config = config;
-            jobs.push_back(std::move(job));
-        }
-    }
-    const std::vector<FabricResult> results = runJobs(jobs);
-    std::vector<ExperimentOutcome> outcomes;
-    outcomes.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        outcomes.push_back(outcomeFrom(jobs[i], results[i]));
-    return outcomes;
-}
-
-std::vector<ExperimentOutcome>
-FabricCoordinator::runWarmForkSweep(const SweepSpec& spec,
-                                    const WarmSpec& warm)
-{
-    if (options_.spillDir.empty())
-        fatal("fabric warm-fork sweep needs a spill directory "
-              "(FabricOptions::spillDir) for snapshot shipping");
-
-    const std::size_t num_benchmarks = spec.benchmarks.size();
-
-    // Phase 1: one warm snapshot per benchmark, built on the
-    // pool, shipped by file path. Seeds follow the warm-fork
-    // rule: every fork of a benchmark reuses the warm-up's seed.
-    std::vector<std::uint64_t> warm_seeds(num_benchmarks);
-    std::vector<FabricJob> warm_jobs;
-    warm_jobs.reserve(num_benchmarks);
-    for (std::size_t b = 0; b < num_benchmarks; ++b) {
-        const std::string& benchmark = spec.benchmarks[b];
-        warm_seeds[b] = deriveRunSeed(options_.baseSeed, benchmark,
-                                      warm.warmTag);
-        FabricJob job;
-        job.kind = FabricJob::Kind::Warm;
-        job.index = b;
-        job.tag = warm.warmTag;
-        job.benchmark = benchmark;
-        job.cycles = warm.warmupCycles;
-        job.seed = warm_seeds[b];
-        job.config = warm.warmConfig;
-        job.snapshotPath = options_.spillDir + "/warm_" +
-                           benchmark + ".ckpt";
-        warm_jobs.push_back(std::move(job));
-    }
-    const std::vector<FabricResult> warm_results =
-        runJobs(warm_jobs);
-
-    // Phase 2: fork every (config, benchmark) shard from its
-    // benchmark's snapshot file. Shards of a failed warm-up are
-    // not dispatched; they fail with the runner's error shape.
-    std::vector<FabricJob> jobs;
-    std::vector<std::size_t> sweep_index;
-    const std::size_t sweep_total =
-        spec.configs.size() * num_benchmarks;
-    jobs.reserve(sweep_total);
-    sweep_index.reserve(sweep_total);
-    std::vector<ExperimentOutcome> outcomes(sweep_total);
-    for (std::size_t c = 0; c < spec.configs.size(); ++c) {
-        for (std::size_t b = 0; b < num_benchmarks; ++b) {
-            const std::size_t i = c * num_benchmarks + b;
-            ExperimentOutcome& out = outcomes[i];
-            out.tag = spec.configs[c].first;
-            out.benchmark = spec.benchmarks[b];
-            out.seed = warm_seeds[b];
-            if (!warm_results[b].ok) {
-                out.error = "warm-up failed: " +
-                            warm_results[b].error;
-                continue;
-            }
-            FabricJob job;
-            job.kind = FabricJob::Kind::Run;
-            job.index = jobs.size();
-            job.tag = out.tag;
-            job.benchmark = out.benchmark;
-            job.cycles = spec.measureCycles;
-            job.seed = warm_seeds[b];
-            job.config = spec.configs[c].second;
-            job.snapshotPath = warm_jobs[b].snapshotPath;
-            job.resetMeasurement = warm.resetMeasurement;
-            jobs.push_back(std::move(job));
-            sweep_index.push_back(i);
-        }
-    }
-    const std::vector<FabricResult> results = runJobs(jobs);
-    for (std::size_t k = 0; k < jobs.size(); ++k)
-        outcomes[sweep_index[k]] =
-            outcomeFrom(jobs[k], results[k]);
-    return outcomes;
 }
 
 } // namespace fabric

@@ -1,24 +1,30 @@
 /**
  * @file
- * Sweep-fabric coordinator (DESIGN.md §15).
+ * Sweep-fabric coordinator: the process backend of the job
+ * executor (DESIGN.md §15).
  *
- * The coordinator owns the job graph, in the spirit of YTsaurus's
- * controller-agent/scheduler split: it shards a (benchmark x
- * config) matrix into jobs keyed by the deterministic
- * deriveRunSeed identity, schedules them over a pool of worker
- * processes connected by per-worker Unix socketpairs, ships warm
- * state by file path (the snapshot is written once per benchmark
- * through the versioned checkpoint format), detects worker death
- * (EOF/POLLHUP + waitpid) or job timeout and re-queues the dead
- * worker's shard onto survivors, and merges results
- * deterministically by job index — never by arrival order — so
- * the outcome set is bit-identical to the in-process runner at
- * any worker count and across any failure/recovery history.
+ * The coordinator runs a runner job list (sim/runner.hh) over a
+ * pool of worker processes connected by per-worker Unix
+ * socketpairs, detects worker death (EOF/POLLHUP + waitpid) or
+ * job timeout and re-queues the dead worker's shard onto
+ * survivors, and merges outcomes by job index — never by arrival
+ * order — so the outcome set is bit-identical to the thread
+ * backend's at any worker count and across any failure/recovery
+ * history. Warm state ships by file path: a warm-fork list's warm
+ * jobs write their snapshots, and its forks read them
+ * (experiments::runWarmFork runs the two phases on this backend
+ * as on threads).
+ *
+ * A job travels as dotted config keys plus its seed. A job whose
+ * config does not survive that round trip (a field without a key,
+ * such as an energy constant, differs from its default) is refused
+ * before dispatch: a worker would silently run a different
+ * simulation.
  *
  * Failure model:
  *  - A job that *fails* (simulation throws on a worker) is a
- *    completed outcome with ok=false, exactly like
- *    ExperimentRunner::runJob; it is never retried.
+ *    completed outcome with ok=false, exactly like runJob on a
+ *    thread; it is never retried.
  *  - A worker that *dies* mid-job (crash, SIGKILL, timeout) gets
  *    its shard re-queued at the front of the queue, up to
  *    maxJobAttempts dispatches; past that the job is recorded as
@@ -36,14 +42,11 @@
 #ifndef TEMPEST_SIM_FABRIC_COORDINATOR_HH
 #define TEMPEST_SIM_FABRIC_COORDINATOR_HH
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/config.hh"
-#include "sim/fabric/fabric_protocol.hh"
 #include "sim/runner.hh"
 
 namespace tempest
@@ -56,11 +59,6 @@ struct FabricOptions
 {
     /** Worker process count (clamped to [1, jobs]). */
     int workers = 1;
-    /** Experiment-level seed the per-job seeds derive from. */
-    std::uint64_t baseSeed = 1;
-    /** Directory warm snapshots are written to (file-path warm
-     * shipping). Required by runWarmForkSweep. */
-    std::string spillDir;
     /** argv to exec for each worker; "--worker-fd <n>" is
      * appended. Empty: fork-mode — the child calls workerMain()
      * directly (no exec), which is what tests and benches use. */
@@ -79,27 +77,6 @@ struct FabricOptions
     std::function<void(const std::string&)> onEvent;
 };
 
-/** A (benchmark x config) sweep over dotted config keys — the
- * same vocabulary tempest_run configs and tempest_serve requests
- * use (sim_config_io). */
-struct SweepSpec
-{
-    /** (tag, dotted-key config) pairs; tag feeds seed identity. */
-    std::vector<std::pair<std::string, Config>> configs;
-    std::vector<std::string> benchmarks;
-    std::uint64_t measureCycles = 0;
-};
-
-/** Warm-fork parameters (mirrors experiments::WarmForkOptions). */
-struct WarmSpec
-{
-    /** Shared neutral warm-up config (techniques off). */
-    Config warmConfig;
-    std::uint64_t warmupCycles = 0;
-    std::string warmTag = "warmup";
-    bool resetMeasurement = true;
-};
-
 class FabricCoordinator
 {
   public:
@@ -108,33 +85,10 @@ class FabricCoordinator
     {}
 
     /**
-     * Cold sweep of the (configs x benchmarks) matrix across the
-     * worker pool. Outcome order matches experiments::runSweep
-     * (configs-major), and each outcome is bit-identical to the
-     * in-process runner's for the same (baseSeed, tag, benchmark).
+     * Run `jobs` across the pool and return outcomes by index —
+     * the process backend, bit-identical to runJobs() on threads.
      */
-    std::vector<ExperimentOutcome> runSweep(const SweepSpec& spec);
-
-    /**
-     * Warm-fork sweep: phase 1 builds one warm snapshot per
-     * benchmark (parallel across workers, written to spillDir via
-     * the versioned checkpoint format), phase 2 forks every
-     * (config, benchmark) job from its benchmark's snapshot file.
-     * Outcome order and bit pattern match
-     * experiments::runWarmForkSweep with the same spillDir
-     * discipline. fatal() if spillDir is empty.
-     */
-    std::vector<ExperimentOutcome> runWarmForkSweep(
-        const SweepSpec& spec, const WarmSpec& warm);
-
-    /**
-     * Scheduling engine: run a dense job list (job.index == its
-     * position) across the pool and return results indexed by
-     * job.index. Public so tests can drive failure injection
-     * without sweep scaffolding.
-     */
-    std::vector<FabricResult> runJobs(
-        const std::vector<FabricJob>& jobs);
+    std::vector<Outcome> runJobs(const std::vector<Job>& jobs);
 
     const FabricOptions& options() const { return options_; }
 

@@ -6,6 +6,7 @@
 #include "common/log.hh"
 #include "serve/protocol.hh"
 #include "sim/checkpoint/stateio.hh"
+#include "sim/sim_config_io.hh"
 
 namespace tempest
 {
@@ -15,22 +16,6 @@ namespace fabric
 namespace
 {
 
-const char*
-kindName(FabricJob::Kind kind)
-{
-    return kind == FabricJob::Kind::Run ? "run" : "warm";
-}
-
-FabricJob::Kind
-parseKind(const std::string& name)
-{
-    if (name == "run")
-        return FabricJob::Kind::Run;
-    if (name == "warm")
-        return FabricJob::Kind::Warm;
-    fatal("unknown fabric job kind '", name, "' (run|warm)");
-}
-
 /** Required object member; fatal() with the field name. */
 const serve::Json&
 field(const serve::Json& doc, const char* key)
@@ -39,6 +24,30 @@ field(const serve::Json& doc, const char* key)
     if (!value)
         fatal("fabric message has no \"", key, "\" field");
     return *value;
+}
+
+/** Encoded bytes of one block's statistics: name length, avg,
+ * max. */
+constexpr std::size_t kBlockBytes = 4 + 8 + 8;
+
+/** Fewest encoded bytes of a SimResult blob (empty name, no
+ * blocks), plus the length prefix it carries inside a CmpResult
+ * blob. */
+constexpr std::size_t kCoreBytes = 4 + (4 + 8 + 3 * 8) +
+                                   (8 + sizeof(DtmStats)) +
+                                   (8 + sizeof(ActivityRecord)) + 4;
+
+/** fatal() naming `what` unless `count` elements of at least
+ * `bytes` each fit in what `r` has left, so a corrupt count can
+ * never size an allocation. */
+void
+checkCount(const StateReader& r, std::uint32_t count,
+           std::size_t bytes, const char* what)
+{
+    if (count > r.remaining() / bytes) {
+        fatal("fabric result blob: ", what, " count ", count,
+              " exceeds the ", r.remaining(), " bytes left");
+    }
 }
 
 } // namespace
@@ -96,100 +105,95 @@ parseHexU64(const std::string& text)
 // parseJob ever sees the message, so the decoder never reads it.
 // proto:skip(op: routing key consumed by the dispatch loop)
 std::string
-encodeJob(const FabricJob& job)
+encodeJob(std::size_t index, const Job& job)
 {
     serve::Json msg;
     msg["op"] = serve::Json("job");
-    msg["kind"] = serve::Json(kindName(job.kind));
-    msg["index"] =
-        serve::Json(static_cast<std::uint64_t>(job.index));
+    msg["index"] = serve::Json(static_cast<std::uint64_t>(index));
     msg["tag"] = serve::Json(job.tag);
-    msg["benchmark"] = serve::Json(job.benchmark);
     msg["cycles"] = serve::Json(job.cycles);
-    msg["seed"] = serve::Json(serve::hexU64(job.seed));
-    // An explicit empty object, never null: an empty Config is a
-    // valid job config (every key at its default).
-    serve::Json config{serve::Json::Object{}};
+    msg["seed"] = serve::Json(serve::hexU64(job.config.base.runSeed));
     // Config entries are already strings; shipping them verbatim
     // (and re-set()ing on the worker) is an exact round trip.
-    for (const auto& [key, value] : job.config.entries())
+    serve::Json config{serve::Json::Object{}};
+    const Config keys = configFromCmpConfig(job.config);
+    for (const auto& [key, value] : keys.entries())
         config[key] = serve::Json(value);
     msg["config"] = config;
-    if (!job.snapshotPath.empty())
-        msg["snapshot"] = serve::Json(job.snapshotPath);
-    msg["reset_measurement"] = serve::Json(job.resetMeasurement);
+    if (!job.snapshot.empty())
+        msg["snapshot"] = serve::Json(job.snapshot);
+    msg["warm"] = serve::Json(job.warm);
     return msg.dump();
 }
 
-FabricJob
+std::pair<std::size_t, Job>
 parseJob(const serve::Json& doc)
 {
-    FabricJob job;
-    job.kind = parseKind(field(doc, "kind").asString());
-    job.index = static_cast<std::size_t>(
+    const auto index = static_cast<std::size_t>(
         field(doc, "index").asUnsigned());
+    Job job;
     job.tag = field(doc, "tag").asString();
-    job.benchmark = field(doc, "benchmark").asString();
     job.cycles = field(doc, "cycles").asUnsigned();
-    job.seed = parseHexU64(field(doc, "seed").asString());
+    const std::uint64_t seed =
+        parseHexU64(field(doc, "seed").asString());
+    Config config;
     for (const auto& [key, value] :
          field(doc, "config").asObject())
-        job.config.set(key, value.asString());
+        config.set(key, value.asString());
+    job.config = cmpConfigFromConfig(config);
+    job.config.base.runSeed = seed;
     if (const serve::Json* snapshot = doc.find("snapshot"))
-        job.snapshotPath = snapshot->asString();
-    job.resetMeasurement =
-        field(doc, "reset_measurement").asBool();
-    if (job.kind == FabricJob::Kind::Warm &&
-        job.snapshotPath.empty())
+        job.snapshot = snapshot->asString();
+    job.warm = field(doc, "warm").asBool();
+    if (job.warm && job.snapshot.empty())
         fatal("fabric warm job needs a snapshot output path");
-    return job;
+    return {index, std::move(job)};
 }
 
 // Same asymmetry as encodeJob: the coordinator routes on "op"
 // before handing the document to parseResult.
 // proto:skip(op: routing key consumed by the dispatch loop)
 std::string
-encodeResult(const FabricResult& result)
+encodeResult(std::size_t index, const Outcome& outcome)
 {
     serve::Json msg;
     msg["op"] = serve::Json("result");
-    msg["index"] =
-        serve::Json(static_cast<std::uint64_t>(result.index));
-    msg["ok"] = serve::Json(result.ok);
-    if (!result.ok) {
-        msg["error"] = serve::Json(result.error);
+    msg["index"] = serve::Json(static_cast<std::uint64_t>(index));
+    msg["ok"] = serve::Json(outcome.ok);
+    if (!outcome.ok) {
+        msg["error"] = serve::Json(outcome.error);
         return msg.dump();
     }
     msg["result_hash"] =
-        serve::Json(serve::hexU64(result.resultHash));
-    msg["wall_seconds"] = serve::Json(result.wallSeconds);
-    if (result.hasResult) {
-        msg["blob"] = serve::Json(
-            hexEncode(encodeSimResultBlob(result.result)));
-    }
+        serve::Json(serve::hexU64(hashCmpResult(outcome.result)));
+    msg["wall_seconds"] = serve::Json(outcome.wallSeconds);
+    msg["blob"] = serve::Json(
+        hexEncode(encodeCmpResultBlob(outcome.result)));
     return msg.dump();
 }
 
-FabricResult
+std::pair<std::size_t, Outcome>
 parseResult(const serve::Json& doc)
 {
-    FabricResult result;
-    result.index = static_cast<std::size_t>(
+    const auto index = static_cast<std::size_t>(
         field(doc, "index").asUnsigned());
-    result.ok = field(doc, "ok").asBool();
-    if (!result.ok) {
-        result.error = field(doc, "error").asString();
-        return result;
+    Outcome out;
+    out.ok = field(doc, "ok").asBool();
+    if (!out.ok) {
+        out.error = field(doc, "error").asString();
+        return {index, std::move(out)};
     }
-    result.resultHash =
+    const std::uint64_t hash =
         parseHexU64(field(doc, "result_hash").asString());
-    result.wallSeconds = field(doc, "wall_seconds").asDouble();
-    if (const serve::Json* blob = doc.find("blob")) {
-        result.result =
-            decodeSimResultBlob(hexDecode(blob->asString()));
-        result.hasResult = true;
+    out.wallSeconds = field(doc, "wall_seconds").asDouble();
+    out.result = decodeCmpResultBlob(
+        hexDecode(field(doc, "blob").asString()));
+    if (hashCmpResult(out.result) != hash) {
+        out.ok = false;
+        out.error = "result hash mismatch (transport corruption)";
+        out.result = CmpResult();
     }
-    return result;
+    return {index, std::move(out)};
 }
 
 std::string
@@ -246,12 +250,66 @@ decodeSimResultBlob(std::string_view bytes)
     r.blob(&result.dtm, sizeof(result.dtm));
     r.blob(&result.activity, sizeof(result.activity));
     const std::uint32_t num_blocks = r.u32();
+    checkCount(r, num_blocks, kBlockBytes, "block");
     result.blocks.resize(num_blocks);
     for (BlockTempStats& b : result.blocks) {
         b.name = r.str();
         b.avg = r.f64();
         b.max = r.f64();
     }
+    if (!r.atEnd())
+        fatal("fabric result blob has ", r.remaining(),
+              " trailing bytes");
+    return result;
+}
+
+std::string
+encodeCmpResultBlob(const CmpResult& result)
+{
+    StateWriter w;
+    w.u32(static_cast<std::uint32_t>(result.cores.size()));
+    for (const SimResult& core : result.cores)
+        w.str(encodeSimResultBlob(core));
+    w.u32(static_cast<std::uint32_t>(result.shared.size()));
+    for (const BlockTempStats& b : result.shared) {
+        w.str(b.name);
+        w.f64(b.avg);
+        w.f64(b.max);
+    }
+    // CmpDtmStats is a flat all-u64 POD, like DtmStats above.
+    w.blob(&result.migration, sizeof(result.migration));
+    w.u32(static_cast<std::uint32_t>(result.tileOfJob.size()));
+    for (const int tile : result.tileOfJob)
+        w.i32(tile);
+    w.u64(result.cycles);
+    return w.bytes();
+}
+
+CmpResult
+decodeCmpResultBlob(std::string_view bytes)
+{
+    StateReader r(bytes);
+    CmpResult result;
+    const std::uint32_t num_cores = r.u32();
+    checkCount(r, num_cores, kCoreBytes, "core");
+    result.cores.resize(num_cores);
+    for (SimResult& core : result.cores)
+        core = decodeSimResultBlob(r.str());
+    const std::uint32_t num_shared = r.u32();
+    checkCount(r, num_shared, kBlockBytes, "shared block");
+    result.shared.resize(num_shared);
+    for (BlockTempStats& b : result.shared) {
+        b.name = r.str();
+        b.avg = r.f64();
+        b.max = r.f64();
+    }
+    r.blob(&result.migration, sizeof(result.migration));
+    const std::uint32_t num_tiles = r.u32();
+    checkCount(r, num_tiles, 4, "placement");
+    result.tileOfJob.resize(num_tiles);
+    for (int& tile : result.tileOfJob)
+        tile = r.i32();
+    result.cycles = r.u64();
     if (!r.atEnd())
         fatal("fabric result blob has ", r.remaining(),
               " trailing bytes");

@@ -9,36 +9,35 @@
  *
  * Coordinator -> worker:
  *
- *   {"op":"job","kind":"run","index":7,"tag":"iq_toggling",
- *    "benchmark":"mesa","cycles":2000000,"seed":"0x...",
- *    "config":{"floorplan.variant":"iq","dtm.toggling":"true"},
- *    "snapshot":"/spill/warm_mesa.ckpt","reset_measurement":true}
- *   {"op":"job","kind":"warm", ... ,"snapshot":"<output path>"}
+ *   {"op":"job","index":7,"tag":"iq_toggling","cycles":2000000,
+ *    "seed":"0x...","config":{"cmp.benchmarks":"mesa",...},
+ *    "snapshot":"/spill/warm_mesa.ckpt","warm":false}
  *   {"op":"shutdown"}
  *
  * Worker -> coordinator:
  *
  *   {"op":"hello","pid":12345}
  *   {"op":"result","index":7,"ok":true,"result_hash":"0x...",
- *    "wall_seconds":0.41,"blob":"<hex SimResult>"}
+ *    "wall_seconds":0.41,"blob":"<hex CmpResult>"}
  *   {"op":"result","index":7,"ok":false,"error":"..."}
  *
- * A "run" job executes one shard: cold from cycle 0 when
- * "snapshot" is absent, or forked from the named warm snapshot
- * file (the coordinator ships warm state by path, never by value —
- * the snapshot is written once per benchmark via the versioned
- * checkpoint format and every fork re-reads it). A "warm" job
- * builds that snapshot: warm up under the neutral config and
- * write the checkpoint to "snapshot" atomically.
+ * A job message is one runner Job (sim/runner.hh) plus its index
+ * in the batch, the deterministic merge key. "config" holds every
+ * key configFromCmpConfig() renders, and "seed" the exact runSeed
+ * in hex: run.seed parses as a non-negative int64, so it cannot
+ * carry the half of derived seeds that are >= 2^63. Warm state
+ * ships by file path, never by value: a warm job writes the
+ * snapshot once per benchmark through the versioned checkpoint
+ * format, and every fork re-reads it.
  *
- * SimResults travel as a hex-encoded binary blob in the StateIO
+ * Results travel as a hex-encoded binary blob in the StateIO
  * little-endian encoding (doubles as IEEE bit patterns), NOT as
  * JSON numbers: the fabric's contract is bit-identity with the
- * in-process runner, and a double that round-trips through
- * decimal text cannot guarantee that. "result_hash" carries
- * hashSimResult() computed by the worker; the coordinator
- * recomputes it from the decoded blob and treats a mismatch as
- * transport corruption.
+ * thread backend, and a double that round-trips through decimal
+ * text cannot guarantee that. "result_hash" carries the worker's
+ * hashCmpResult(); parseResult recomputes it from the decoded
+ * blob and turns a mismatch into a failed outcome (transport
+ * corruption).
  */
 
 #ifndef TEMPEST_SIM_FABRIC_FABRIC_PROTOCOL_HH
@@ -47,78 +46,48 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
-#include "common/config.hh"
 #include "serve/json.hh"
-#include "sim/simulator.hh"
+#include "sim/runner.hh"
 
 namespace tempest
 {
 namespace fabric
 {
 
-/** One shard of the job graph, as shipped to a worker. */
-struct FabricJob
-{
-    enum class Kind
-    {
-        Run, ///< simulate one (config, benchmark) shard
-        Warm ///< build one benchmark's warm snapshot file
-    };
-
-    Kind kind = Kind::Run;
-    /** Job-graph index: the deterministic merge key. */
-    std::size_t index = 0;
-    /** Config identity within the sweep (seed derivation). */
-    std::string tag;
-    std::string benchmark;
-    /** Measured cycles (Run) or warm-up cycles (Warm). */
-    std::uint64_t cycles = 0;
-    /** Exact runSeed (already derived by the coordinator). */
-    std::uint64_t seed = 0;
-    /** Dotted config keys (sim_config_io vocabulary). */
-    Config config;
-    /** Run: fork source when non-empty. Warm: output path. */
-    std::string snapshotPath;
-    /** Run-from-snapshot only: zero measurement after restore. */
-    bool resetMeasurement = true;
-};
-
-/** One worker reply. */
-struct FabricResult
-{
-    std::size_t index = 0;
-    bool ok = false;
-    std::string error;
-    /** hashSimResult (Run) or FNV-1a of the snapshot bytes
-     * (Warm), as reported by the worker. */
-    std::uint64_t resultHash = 0;
-    /** Simulation wall seconds on the worker (metadata only). */
-    double wallSeconds = 0;
-    /** Decoded result; valid only for ok Run replies. */
-    SimResult result;
-    bool hasResult = false;
-};
-
 // ---- message codecs (one JSON document per line, no newline) ----
 
-std::string encodeJob(const FabricJob& job);
-/** Parse a job message; fatal() on malformed input. */
-FabricJob parseJob(const serve::Json& doc);
+std::string encodeJob(std::size_t index, const Job& job);
+/** Parse a job message into (index, job); fatal() on malformed
+ * input or a config the dotted keys reject. */
+std::pair<std::size_t, Job> parseJob(const serve::Json& doc);
 
-std::string encodeResult(const FabricResult& result);
-/** Parse a result message; fatal() on malformed input. */
-FabricResult parseResult(const serve::Json& doc);
+/** A result message for job `index`; only ok, error, wallSeconds
+ * and result travel (the coordinator knows the job). */
+std::string encodeResult(std::size_t index, const Outcome& outcome);
+/** Parse a result message into (index, outcome); fatal() on
+ * malformed input. */
+std::pair<std::size_t, Outcome> parseResult(const serve::Json& doc);
 
 std::string encodeHello(long pid);
 std::string encodeShutdown();
 
-// ---- SimResult binary blob (StateIO encoding) ----
+// ---- result blobs (StateIO encoding) ----
 
 /** Serialize every SimResult field bit-exactly. */
 std::string encodeSimResultBlob(const SimResult& result);
-/** Inverse of encodeSimResultBlob; fatal() on truncation. */
+/** Inverse of encodeSimResultBlob; fatal() on truncation, trailing
+ * bytes, or a count the remaining bytes cannot hold. */
 SimResult decodeSimResultBlob(std::string_view bytes);
+
+/** Serialize every CmpResult field bit-exactly: each core's
+ * SimResult blob, the shared blocks, the migration counters, the
+ * placement and the cycle count. */
+std::string encodeCmpResultBlob(const CmpResult& result);
+/** Inverse of encodeCmpResultBlob; fatal() like
+ * decodeSimResultBlob. */
+CmpResult decodeCmpResultBlob(std::string_view bytes);
 
 // ---- helpers ----
 

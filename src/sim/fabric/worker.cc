@@ -4,17 +4,9 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
-#include <cstring>
 #include <string>
 
 #include "common/log.hh"
-#include "sim/checkpoint/checkpoint.hh"
-#include "sim/checkpoint/stateio.hh"
-#include "sim/experiment.hh"
-#include "sim/runner.hh"
-#include "sim/sim_config_io.hh"
-#include "workload/profile.hh"
 
 namespace tempest
 {
@@ -52,56 +44,6 @@ writeLine(int fd, const std::string& line)
 
 } // namespace
 
-FabricResult
-executeJob(const FabricJob& job)
-{
-    FabricResult res;
-    res.index = job.index;
-    // det:allow(wallSeconds metric only; never feeds simulation state)
-    const auto start = std::chrono::steady_clock::now();
-    try {
-        SimConfig config = simConfigFromConfig(job.config);
-        config.runSeed = job.seed;
-        if (job.kind == FabricJob::Kind::Warm) {
-            // Build the benchmark's warm snapshot and publish it
-            // atomically; the hash of the snapshot bytes lets the
-            // coordinator (and tests) fingerprint warm state.
-            const std::string bytes =
-                experiments::warmSnapshot(config, job.benchmark,
-                                          job.seed, job.cycles);
-            writeCheckpointFile(job.snapshotPath, bytes);
-            res.resultHash =
-                fnv1a64(bytes.data(), bytes.size());
-        } else if (!job.snapshotPath.empty()) {
-            const std::string snapshot =
-                readCheckpointFile(job.snapshotPath);
-            res.result = experiments::runFromSnapshot(
-                config, job.benchmark, job.seed, snapshot,
-                job.cycles, job.resetMeasurement);
-            res.resultHash =
-                experiments::hashSimResult(res.result);
-            res.hasResult = true;
-        } else {
-            Simulator sim(config, spec2000(job.benchmark));
-            res.result = sim.run(job.cycles);
-            res.resultHash =
-                experiments::hashSimResult(res.result);
-            res.hasResult = true;
-        }
-        res.ok = true;
-    } catch (const std::exception& e) {
-        res.error = e.what();
-    } catch (...) {
-        res.error = "unknown exception";
-    }
-    res.wallSeconds =
-        std::chrono::duration<double>(
-            // det:allow(wallSeconds metric only; never feeds simulation state)
-            std::chrono::steady_clock::now() - start)
-            .count();
-    return res;
-}
-
 int
 workerMain(int fd)
 {
@@ -131,7 +73,7 @@ workerMain(int fd)
         if (line.empty())
             continue;
 
-        FabricResult res;
+        std::string reply;
         try {
             const serve::Json doc = serve::Json::parse(line);
             const std::string op =
@@ -143,15 +85,17 @@ workerMain(int fd)
                 warn("fabric worker: ignoring op '", op, "'");
                 continue;
             }
-            res = executeJob(parseJob(doc));
+            const auto [index, job] = parseJob(doc);
+            reply = encodeResult(index, runJob(job));
         } catch (const std::exception& e) {
             // Malformed message: report and keep serving. The
             // index may be unknown; 0 with ok=false is still a
             // visible failure on the coordinator side.
-            res.ok = false;
-            res.error = e.what();
+            Outcome failed;
+            failed.error = e.what();
+            reply = encodeResult(0, failed);
         }
-        if (!writeLine(fd, encodeResult(res)))
+        if (!writeLine(fd, reply))
             return 1;
     }
 }

@@ -12,7 +12,9 @@
  * jobs: each job message carries everything needed to reproduce
  * the simulation (dotted config keys, exact seed, cycle budget,
  * snapshot path), so any job can run on any worker and a dead
- * worker's shards can be re-queued onto survivors verbatim.
+ * worker's shards can be re-queued onto survivors verbatim. A
+ * worker executes a job with runJob(), the job function of the
+ * thread backend too.
  */
 
 #ifndef TEMPEST_SIM_FABRIC_WORKER_HH
@@ -24,15 +26,6 @@ namespace tempest
 {
 namespace fabric
 {
-
-/**
- * Execute one job on the calling thread/process — the reference
- * path workerMain dispatches to, exposed so tests can assert the
- * fabric's per-job semantics without any process plumbing.
- * Exceptions are captured into the result (ok=false), mirroring
- * ExperimentRunner::runJob.
- */
-FabricResult executeJob(const FabricJob& job);
 
 /**
  * Worker protocol loop over an already-connected socket: send

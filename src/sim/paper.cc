@@ -526,51 +526,39 @@ count(std::uint64_t n)
 /** Claim runs are 12M cycles, or a fixed fraction of that. */
 constexpr std::uint64_t kCycles = 12'000'000;
 
-ExperimentJob
-job(const char* tag, const SimConfig& config, const char* benchmark,
-    std::uint64_t cycles)
-{
-    ExperimentJob j;
-    j.tag = tag;
-    j.benchmark = benchmark;
-    j.config = config;
-    j.cycles = cycles;
-    j.deriveSeed = false;
-    return j;
-}
-
-ExperimentJob
+Job
 iqBaseJob(const char* b, std::uint64_t c)
 {
-    return job("iq-base", iqBase(), b, c);
+    return singleCoreJob("iq-base", iqBase(), b, c);
 }
 
-ExperimentJob
+Job
 iqTogglingJob(const char* b, std::uint64_t c)
 {
-    return job("iq-toggling", iqToggling(), b, c);
+    return singleCoreJob("iq-toggling", iqToggling(), b, c);
 }
 
-ExperimentJob
+Job
 aluBaseJob(const char* b, std::uint64_t c)
 {
-    return job("alu-base", aluBase(), b, c);
+    return singleCoreJob("alu-base", aluBase(), b, c);
 }
 
-ExperimentJob
+Job
 aluFineGrainJob(const char* b, std::uint64_t c)
 {
-    return job("alu-fine-grain", aluFineGrain(), b, c);
+    return singleCoreJob("alu-fine-grain", aluFineGrain(), b, c);
 }
 
-ExperimentJob
+Job
 regfileJob(PortMapping mapping, bool fine_grain, std::uint64_t c)
 {
     const char* tag =
         mapping == PortMapping::Priority
             ? (fine_grain ? "priority+FG" : "priority-only")
             : (fine_grain ? "balanced+FG" : "balanced-only");
-    return job(tag, regfileConfig(mapping, fine_grain), "eon", c);
+    return singleCoreJob(tag, regfileConfig(mapping, fine_grain),
+                         "eon", c);
 }
 
 std::vector<Claim>
@@ -681,8 +669,8 @@ makeClaims()
     out.push_back(
         {"RoundRobinIsCloseToFineGrain",
          {aluFineGrainJob("perlbmk", kCycles),
-          job("alu-round-robin", aluRoundRobin(), "perlbmk",
-              kCycles)},
+          singleCoreJob("alu-round-robin", aluRoundRobin(),
+                        "perlbmk", kCycles)},
          [](const std::vector<SimResult>& r) {
              const double fg = r[0].ipc;
              const double rr = r[1].ipc;
@@ -782,10 +770,10 @@ makeClaims()
 
 } // namespace
 
-Results::Results(std::span<const ExperimentOutcome> outcomes)
+Results::Results(std::span<const Outcome> outcomes)
 {
-    for (const ExperimentOutcome& o : outcomes)
-        results_[o.tag + "/" + o.benchmark] = &o.result;
+    for (const Outcome& o : outcomes)
+        results_[o.tag + "/" + o.benchmark] = &o.result.cores.front();
 }
 
 const SimResult&
@@ -805,22 +793,17 @@ sections()
     return all;
 }
 
-std::vector<ExperimentJob>
+std::vector<Job>
 sectionJobs(const Section& section, std::uint64_t cycles,
             std::uint64_t base_seed)
 {
-    std::vector<ExperimentJob> jobs;
+    std::vector<Job> jobs;
     for (const auto& [tag, config] : section.configs) {
         for (const std::string& benchmark : section.benchmarks) {
-            ExperimentJob job;
-            job.tag = tag;
-            job.benchmark = benchmark;
-            job.config = config;
-            job.config.runSeed =
+            Job& job = jobs.emplace_back(
+                singleCoreJob(tag, config, benchmark, cycles));
+            job.config.base.runSeed =
                 deriveRunSeed(base_seed, benchmark, "paper");
-            job.cycles = cycles;
-            job.deriveSeed = false;
-            jobs.push_back(std::move(job));
         }
     }
     return jobs;
@@ -850,9 +833,10 @@ ClaimBatch::ClaimBatch()
     std::map<std::string, std::size_t> index;
     for (const Claim& claim : claims()) {
         std::vector<std::size_t>& uses = uses_.emplace_back();
-        for (const ExperimentJob& j : claim.jobs) {
-            const std::string key = j.tag + "/" + j.benchmark + "/" +
-                                    std::to_string(j.cycles);
+        for (const Job& j : claim.jobs) {
+            const std::string key = j.tag + "/" +
+                                    j.config.benchmarks.front() +
+                                    "/" + std::to_string(j.cycles);
             auto [it, fresh] = index.emplace(key, jobs_.size());
             if (fresh)
                 jobs_.push_back(j);
@@ -863,19 +847,59 @@ ClaimBatch::ClaimBatch()
 
 std::vector<Check>
 ClaimBatch::evaluate(std::size_t c,
-                     std::span<const ExperimentOutcome> outcomes) const
+                     std::span<const Outcome> outcomes) const
 {
     std::vector<SimResult> runs;
     for (const std::size_t i : uses_.at(c)) {
-        const ExperimentOutcome& o = outcomes[i];
+        const Outcome& o = outcomes[i];
         if (!o.ok) {
             return {Check{"job " + o.tag + "/" + o.benchmark +
                               " failed: " + o.error,
                           0, "", 0, false}};
         }
-        runs.push_back(o.result);
+        runs.push_back(o.result.cores.front());
     }
     return claims()[c].checks(runs);
+}
+
+std::vector<std::pair<std::string, SimConfig>>
+scaleConfigs()
+{
+    auto make = [](bool toggling, bool throttle) {
+        SimConfig config = iqBase();
+        config.dtm.iqToggling = toggling;
+        config.dtm.fetchThrottling = throttle;
+        return config;
+    };
+    return {
+        {"iq_base", make(false, false)},
+        {"iq_toggling", make(true, false)},
+        {"iq_throttle", make(false, true)},
+        {"iq_toggle_throttle", make(true, true)},
+    };
+}
+
+std::vector<Job>
+cmpScaleJobs(std::uint64_t cycles)
+{
+    const std::vector<std::string> mix = {"art", "mesa", "eon",
+                                          "mcf"};
+    std::vector<Job> jobs;
+    for (const int cores : {1, 2, 4}) {
+        for (const bool dram : {false, true}) {
+            Job& job = jobs.emplace_back();
+            job.tag = std::to_string(cores) + "core" +
+                      (dram ? "_3d" : "");
+            job.config.base = iqBase();
+            job.config.cores = cores;
+            job.config.benchmarks.assign(mix.begin(),
+                                         mix.begin() + cores);
+            job.config.migration.enabled = cores > 1;
+            job.config.stack.dram = dram;
+            job.cycles = cycles;
+        }
+    }
+    return jobs;
 }
 
 } // namespace paper

@@ -10,8 +10,11 @@
  * plus checks of measured values against bounds.
  *
  * `tempest_sweep --paper` runs any selection of sections and
- * claims as one batch on the ExperimentRunner; test_integration
- * runs the claims, one test case per claim.
+ * claims as one job list on the thread backend (sim/runner.hh);
+ * test_integration runs the claims, one test case per claim.
+ *
+ * The registry also holds the job lists of the two scaling sweeps,
+ * `tempest_sweep --paper-scale` and `--cmp-scale`.
  */
 
 #ifndef TEMPEST_SIM_PAPER_HH
@@ -37,7 +40,7 @@ class Results
   public:
     /** Index the outcomes of one section's jobs (all ok); they
      * must outlive this object, which points into them. */
-    explicit Results(std::span<const ExperimentOutcome> outcomes);
+    explicit Results(std::span<const Outcome> outcomes);
 
     /** Result of (tag, benchmark); fatal if absent. */
     const SimResult& get(const std::string& tag,
@@ -69,9 +72,9 @@ const std::vector<Section>& sections();
  * "paper"), so all configurations see the same instruction stream:
  * the paper compares DTM policies on the same workload.
  */
-std::vector<ExperimentJob> sectionJobs(const Section& section,
-                                       std::uint64_t cycles,
-                                       std::uint64_t base_seed);
+std::vector<Job> sectionJobs(const Section& section,
+                             std::uint64_t cycles,
+                             std::uint64_t base_seed);
 
 /** One measured value against its bound. */
 struct Check
@@ -95,11 +98,11 @@ struct Claim
     /** Test case name (an identifier). */
     std::string name;
     /**
-     * Jobs at a fixed seed (deriveSeed false) and cycle count.
+     * Jobs at a fixed seed and cycle count.
      * The tag names the configuration, so jobs with equal (tag,
      * benchmark, cycles) are one job.
      */
-    std::vector<ExperimentJob> jobs;
+    std::vector<Job> jobs;
     /** Checks over the results of `jobs`, in order. */
     std::vector<Check> (*checks)(const std::vector<SimResult>& runs) =
         nullptr;
@@ -117,7 +120,7 @@ class ClaimBatch
   public:
     ClaimBatch();
 
-    const std::vector<ExperimentJob>& jobs() const { return jobs_; }
+    const std::vector<Job>& jobs() const { return jobs_; }
 
     /**
      * Checks of claims()[c] over the outcomes of jobs(), in order.
@@ -125,13 +128,29 @@ class ClaimBatch
      */
     std::vector<Check>
     evaluate(std::size_t c,
-             std::span<const ExperimentOutcome> outcomes) const;
+             std::span<const Outcome> outcomes) const;
 
   private:
-    std::vector<ExperimentJob> jobs_;
+    std::vector<Job> jobs_;
     /** Per claim, the batch index of each of its jobs. */
     std::vector<std::vector<std::size_t>> uses_;
 };
+
+/**
+ * The paper-scale DTM sweep's configurations: the four
+ * IQ-floorplan variants (base, activity toggling, fetch
+ * throttling, and both), which differ only in the DTM flags a
+ * fork re-asserts, so they can share one warm-up.
+ */
+std::vector<std::pair<std::string, SimConfig>> scaleConfigs();
+
+/**
+ * The CMP/3D scaling matrix at `cycles` per job: 1-, 2- and
+ * 4-core dies, flat and with a stacked DRAM layer, one benchmark
+ * per core from a memory-bound-first mix (so the 3D rows heat),
+ * cross-core migration on for every multicore die.
+ */
+std::vector<Job> cmpScaleJobs(std::uint64_t cycles);
 
 } // namespace paper
 } // namespace tempest

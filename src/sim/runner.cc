@@ -1,12 +1,13 @@
 #include "sim/runner.hh"
 
-#include <chrono>
-#include <cstdlib>
-#include <thread>
+#include <stdlib.h>
 
-#include "common/guarded.hh"
+#include <chrono>
+#include <filesystem>
+#include <map>
+
+#include "common/log.hh"
 #include "sim/checkpoint/checkpoint.hh"
-#include "workload/profile.hh"
 
 namespace tempest
 {
@@ -36,6 +37,38 @@ mix64(std::uint64_t z)
     return z ^ (z >> 31);
 }
 
+/** Warm up and save: the snapshot after `cycles` cycles. */
+std::string
+warmUp(const CmpSimConfig& config, std::uint64_t cycles)
+{
+    CmpSimulator sim(config);
+    sim.runTo(cycles);
+    return sim.saveCheckpoint();
+}
+
+/** Restore, reset, run: `cycles` measured cycles after
+ * `snapshot`. */
+CmpResult
+forkFrom(const CmpSimConfig& config, const std::string& snapshot,
+         std::uint64_t cycles)
+{
+    CmpSimulator sim(config);
+    sim.restoreCheckpoint(snapshot);
+    sim.resetMeasurement();
+    return sim.run(cycles);
+}
+
+CmpSimConfig
+singleCore(const SimConfig& config, const std::string& benchmark,
+           std::uint64_t seed)
+{
+    CmpSimConfig cmp;
+    cmp.base = config;
+    cmp.base.runSeed = seed;
+    cmp.benchmarks = {benchmark};
+    return cmp;
+}
+
 } // namespace
 
 std::uint64_t
@@ -49,55 +82,32 @@ deriveRunSeed(std::uint64_t base_seed, std::string_view benchmark,
     return mix64(base_seed ^ h);
 }
 
-std::size_t
-ExperimentRunner::add(ExperimentJob job)
+Outcome::Outcome(const Job& job)
+    : tag(job.tag), seed(job.config.base.runSeed)
 {
-    jobs_.push_back(std::move(job));
-    return jobs_.size() - 1;
+    for (const std::string& b : job.config.benchmarks)
+        benchmark += (benchmark.empty() ? "" : ",") + b;
 }
 
-std::size_t
-ExperimentRunner::add(std::string tag, const SimConfig& config,
-                      std::string benchmark, std::uint64_t cycles)
+Outcome
+runJob(const Job& job)
 {
-    ExperimentJob job;
-    job.tag = std::move(tag);
-    job.benchmark = std::move(benchmark);
-    job.config = config;
-    job.cycles = cycles;
-    return add(std::move(job));
-}
-
-int
-ExperimentRunner::defaultThreads()
-{
-    if (const char* env = std::getenv("TEMPEST_THREADS")) {
-        const int n = std::atoi(env);
-        if (n > 0)
-            return n;
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-ExperimentOutcome
-ExperimentRunner::runJob(const ExperimentJob& job,
-                         std::uint64_t base_seed)
-{
-    ExperimentOutcome out;
-    out.tag = job.tag;
-    out.benchmark = job.benchmark;
-    out.seed = job.deriveSeed
-                   ? deriveRunSeed(base_seed, job.benchmark,
-                                   job.tag)
-                   : job.config.runSeed;
+    Outcome out(job);
     // det:allow(wallSeconds metric only; never feeds simulation state)
     const auto start = std::chrono::steady_clock::now();
     try {
-        SimConfig config = job.config;
-        config.runSeed = out.seed;
-        Simulator sim(config, spec2000(job.benchmark));
-        out.result = sim.run(job.cycles);
+        if (job.warm) {
+            writeCheckpointFile(job.snapshot,
+                                warmUp(job.config, job.cycles));
+        } else if (!job.snapshot.empty()) {
+            out.result =
+                forkFrom(job.config,
+                         readCheckpointFile(job.snapshot),
+                         job.cycles);
+        } else {
+            CmpSimulator sim(job.config);
+            out.result = sim.run(job.cycles);
+        }
         out.ok = true;
     } catch (const std::exception& e) {
         out.error = e.what();
@@ -112,167 +122,152 @@ ExperimentRunner::runJob(const ExperimentJob& job,
     return out;
 }
 
-std::vector<ExperimentOutcome>
-ExperimentRunner::run()
+std::vector<Outcome>
+runJobs(const std::vector<Job>& jobs, int threads)
 {
-    const std::vector<ExperimentJob> jobs = std::move(jobs_);
-    jobs_.clear();
-
-    const std::size_t total = jobs.size();
-    std::vector<ExperimentOutcome> outcomes(total);
-    // progress_mutex guards `done` and serializes the progress
-    // callback (locals can't carry GUARDED_BY; the lint
-    // lock-discipline pass still checks the acquire pairing).
-    Mutex progress_mutex;
-    std::size_t done = 0;
+    if (threads <= 0) {
+        threads = std::max(
+            1, static_cast<int>(std::thread::hardware_concurrency()));
+    }
+    std::vector<Outcome> outcomes(jobs.size());
     experiments::parallelFor(
-        total,
-        options_.threads > 0 ? options_.threads : defaultThreads(),
-        [&](std::size_t i) {
-            outcomes[i] = runJob(jobs[i], options_.baseSeed);
-            if (options_.progress) {
-                MutexLock lock(progress_mutex);
-                options_.progress(outcomes[i], ++done, total);
-            }
-        });
+        jobs.size(), threads,
+        [&](std::size_t i) { outcomes[i] = runJob(jobs[i]); });
     return outcomes;
 }
 
 namespace experiments
 {
 
+Job
+singleCoreJob(std::string tag, const SimConfig& config,
+              const std::string& benchmark, std::uint64_t cycles)
+{
+    Job job;
+    job.tag = std::move(tag);
+    job.config = singleCore(config, benchmark, config.runSeed);
+    job.cycles = cycles;
+    return job;
+}
+
+std::vector<Job>
+sweepJobs(
+    const std::vector<std::pair<std::string, SimConfig>>& configs,
+    const std::vector<std::string>& benchmarks,
+    std::uint64_t cycles, std::uint64_t base_seed)
+{
+    std::vector<Job> jobs;
+    for (const auto& [tag, config] : configs) {
+        for (const std::string& benchmark : benchmarks) {
+            Job& job = jobs.emplace_back(
+                singleCoreJob(tag, config, benchmark, cycles));
+            job.config.base.runSeed =
+                deriveRunSeed(base_seed, benchmark, tag);
+        }
+    }
+    return jobs;
+}
+
+std::vector<Job>
+warmForkJobs(
+    const std::vector<std::pair<std::string, SimConfig>>& configs,
+    const std::vector<std::string>& benchmarks,
+    const SimConfig& warm_config, std::uint64_t warmup_cycles,
+    std::uint64_t measure_cycles, std::uint64_t base_seed,
+    const std::string& spill_dir)
+{
+    if (spill_dir.empty())
+        fatal("a warm-fork sweep needs a spill directory for its "
+              "snapshots");
+    std::vector<Job> jobs;
+    for (const std::string& benchmark : benchmarks) {
+        Job& warm = jobs.emplace_back(singleCoreJob(
+            "warmup", warm_config, benchmark, warmup_cycles));
+        warm.config.base.runSeed =
+            deriveRunSeed(base_seed, benchmark, "warmup");
+        warm.snapshot = spill_dir + "/warm_" + benchmark + ".ckpt";
+        warm.warm = true;
+    }
+    for (const auto& [tag, config] : configs) {
+        for (std::size_t b = 0; b < benchmarks.size(); ++b) {
+            Job& fork = jobs.emplace_back(singleCoreJob(
+                tag, config, benchmarks[b], measure_cycles));
+            fork.config.base.runSeed = jobs[b].config.base.runSeed;
+            fork.snapshot = jobs[b].snapshot;
+        }
+    }
+    return jobs;
+}
+
+std::vector<Outcome>
+runWarmFork(const std::vector<Job>& jobs, const Backend& backend)
+{
+    std::vector<Outcome> outcomes(jobs.size());
+    std::vector<std::size_t> phase[2];
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        phase[jobs[i].warm ? 0 : 1].push_back(i);
+
+    // Failed warm-ups, by the snapshot they were to write.
+    std::map<std::string, std::string> failed;
+    for (const int p : {0, 1}) {
+        std::vector<Job> batch;
+        std::vector<std::size_t> index;
+        for (const std::size_t i : phase[p]) {
+            const auto it = failed.find(jobs[i].snapshot);
+            if (it != failed.end()) {
+                outcomes[i] = Outcome(jobs[i]);
+                outcomes[i].error = "warm-up failed: " + it->second;
+                continue;
+            }
+            batch.push_back(jobs[i]);
+            index.push_back(i);
+        }
+        std::vector<Outcome> done =
+            batch.empty() ? std::vector<Outcome>() : backend(batch);
+        for (std::size_t k = 0; k < index.size(); ++k) {
+            if (p == 0 && !done[k].ok)
+                failed[batch[k].snapshot] = done[k].error;
+            outcomes[index[k]] = std::move(done[k]);
+        }
+    }
+    return outcomes;
+}
+
+SpillDir::SpillDir()
+{
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() /
+         "tempest_spill_XXXXXX")
+            .string();
+    if (!::mkdtemp(tmpl.data()))
+        fatal("cannot create a spill directory from ", tmpl);
+    path_ = tmpl;
+}
+
+SpillDir::~SpillDir()
+{
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+}
+
 std::string
 warmSnapshot(const SimConfig& warm_config,
              const std::string& benchmark, std::uint64_t seed,
              std::uint64_t warmup_cycles)
 {
-    SimConfig config = warm_config;
-    config.runSeed = seed;
-    Simulator sim(config, spec2000(benchmark));
-    sim.runTo(warmup_cycles);
-    return sim.saveCheckpoint();
+    return warmUp(singleCore(warm_config, benchmark, seed),
+                  warmup_cycles);
 }
 
 SimResult
 runFromSnapshot(const SimConfig& config,
                 const std::string& benchmark, std::uint64_t seed,
                 const std::string& snapshot,
-                std::uint64_t measure_cycles,
-                bool reset_measurement)
+                std::uint64_t measure_cycles)
 {
-    SimConfig forked = config;
-    forked.runSeed = seed;
-    Simulator sim(forked, spec2000(benchmark));
-    sim.restoreCheckpoint(snapshot);
-    if (reset_measurement)
-        sim.resetMeasurement();
-    return sim.run(measure_cycles);
-}
-
-std::vector<ExperimentOutcome>
-runWarmForkSweep(
-    const std::vector<std::pair<std::string, SimConfig>>& configs,
-    const std::vector<std::string>& benchmarks,
-    std::uint64_t measure_cycles, const WarmForkOptions& warm,
-    const ExperimentRunner::Options& options)
-{
-    const int threads = options.threads > 0
-                            ? options.threads
-                            : ExperimentRunner::defaultThreads();
-    const std::size_t num_benchmarks = benchmarks.size();
-
-    // Phase 1: one warm-up per benchmark under the shared neutral
-    // configuration. Every fork of a benchmark reuses the
-    // warm-up's derived seed so the instruction stream continues
-    // identically in all of them.
-    std::vector<std::uint64_t> warm_seeds(num_benchmarks);
-    std::vector<std::string> snapshots(num_benchmarks);
-    std::vector<std::string> warm_errors(num_benchmarks);
-    parallelFor(num_benchmarks, threads, [&](std::size_t b) {
-        const std::string& benchmark = benchmarks[b];
-        warm_seeds[b] = deriveRunSeed(options.baseSeed, benchmark,
-                                      warm.warmTag);
-        try {
-            std::string bytes =
-                warmSnapshot(warm.warmConfig, benchmark,
-                             warm_seeds[b], warm.warmupCycles);
-            if (!warm.spillDir.empty()) {
-                writeCheckpointFile(warm.spillDir + "/warm_" +
-                                        benchmark + ".ckpt",
-                                    bytes);
-            } else {
-                snapshots[b] = std::move(bytes);
-            }
-        } catch (const std::exception& e) {
-            warm_errors[b] = e.what();
-        } catch (...) {
-            warm_errors[b] = "unknown exception";
-        }
-    });
-
-    // Phase 2: fork every (config, benchmark) job from its
-    // benchmark's snapshot. Outcome order matches runSweep.
-    const std::size_t total = configs.size() * num_benchmarks;
-    std::vector<ExperimentOutcome> outcomes(total);
-    Mutex progress_mutex;
-    std::size_t done = 0;
-    parallelFor(total, threads, [&](std::size_t i) {
-        const std::size_t c = i / num_benchmarks;
-        const std::size_t b = i % num_benchmarks;
-        ExperimentOutcome& out = outcomes[i];
-        out.tag = configs[c].first;
-        out.benchmark = benchmarks[b];
-        out.seed = warm_seeds[b];
-        // det:allow(wallSeconds metric only; never feeds simulation state)
-        const auto start = std::chrono::steady_clock::now();
-        if (!warm_errors[b].empty()) {
-            out.error = "warm-up failed: " + warm_errors[b];
-        } else {
-            try {
-                const std::string spilled =
-                    warm.spillDir.empty()
-                        ? std::string()
-                        : readCheckpointFile(
-                              warm.spillDir + "/warm_" +
-                              benchmarks[b] + ".ckpt");
-                out.result = runFromSnapshot(
-                    configs[c].second, benchmarks[b],
-                    warm_seeds[b],
-                    warm.spillDir.empty() ? snapshots[b]
-                                          : spilled,
-                    measure_cycles, warm.resetMeasurement);
-                out.ok = true;
-            } catch (const std::exception& e) {
-                out.error = e.what();
-            } catch (...) {
-                out.error = "unknown exception";
-            }
-        }
-        out.wallSeconds =
-            std::chrono::duration<double>(
-                // det:allow(wallSeconds metric only; never feeds simulation state)
-                std::chrono::steady_clock::now() - start)
-                .count();
-        if (options.progress) {
-            MutexLock lock(progress_mutex);
-            options.progress(out, ++done, total);
-        }
-    });
-    return outcomes;
-}
-
-std::vector<ExperimentOutcome>
-runSweep(
-    const std::vector<std::pair<std::string, SimConfig>>& configs,
-    const std::vector<std::string>& benchmarks,
-    std::uint64_t cycles, const ExperimentRunner::Options& options)
-{
-    ExperimentRunner runner(options);
-    for (const auto& [tag, config] : configs) {
-        for (const std::string& benchmark : benchmarks)
-            runner.add(tag, config, benchmark, cycles);
-    }
-    return runner.run();
+    return forkFrom(singleCore(config, benchmark, seed), snapshot,
+                    measure_cycles)
+        .cores.front();
 }
 
 } // namespace experiments

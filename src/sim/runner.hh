@@ -1,25 +1,25 @@
 /**
  * @file
- * Parallel experiment runner.
+ * The job executor (DESIGN.md §8).
  *
- * A full reproduction of the paper is a sweep of 22 benchmark
- * profiles times 2-4 configurations, and every simulation in the
- * sweep is independent. The runner executes (SimConfig, benchmark,
- * cycles) jobs on a fixed-size thread pool and guarantees that the
- * result set is bit-identical to running the same jobs serially:
+ * Every simulation a sweep runs is a Job: a tag, a CmpSimConfig
+ * (cores = 1 is the single-core simulator, and base.runSeed is the
+ * exact seed), a cycle count, and optionally a snapshot file that
+ * a warm job writes and a fork job reads. runJob() executes one
+ * job on the calling thread and captures any error into its
+ * Outcome. A backend runs a job list and returns outcomes by
+ * index: runJobs() spreads the list over threads, and
+ * fabric::FabricCoordinator::runJobs() over worker processes. The
+ * outcomes never depend on the backend or its size:
  *
- * - Each job's RNG seed is derived deterministically from
- *   (baseSeed, benchmark, config tag) by deriveRunSeed(), never
- *   from scheduling order, thread identity, or wall-clock time.
- * - Results are stored by submission index, so the returned vector
- *   has a stable order no matter which worker finishes first.
- * - A job that throws (e.g. fatal() on an unknown benchmark) is
- *   captured into its ExperimentOutcome instead of aborting the
- *   sweep; the remaining jobs still run.
+ * - the job builders set every seed (deriveRunSeed over the job's
+ *   identity); the executor never derives one;
+ * - outcomes are stored by index, never by completion order;
+ * - every job is an independent simulator.
  *
- * Progress is reported through an optional callback, invoked under
- * a lock as jobs complete (completion order, not submission
- * order).
+ * Warm-fork (DESIGN.md §11) is a two-phase job list:
+ * warmForkJobs() builds it and runWarmFork() runs its warm jobs,
+ * then its forks, on whichever backend it is given.
  */
 
 #ifndef TEMPEST_SIM_RUNNER_HH
@@ -35,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/cmp/cmp_simulator.hh"
 #include "sim/simulator.hh"
 
 namespace tempest
@@ -53,90 +54,62 @@ std::uint64_t deriveRunSeed(std::uint64_t base_seed,
                             std::string_view config_tag);
 
 /** One simulation to execute. */
-struct ExperimentJob
+struct Job
 {
-    /** Configuration identity within the sweep (e.g. "toggling");
-     * part of the seed derivation. */
+    /** Configuration identity within the sweep (row label, e.g.
+     * "iq_toggling"). */
     std::string tag;
-    /** SPEC2000 profile name (see spec2000Names()). */
-    std::string benchmark;
-    SimConfig config;
+    /** The simulation: base.runSeed is its exact seed, and
+     * cores = 1 is the single-core simulator. */
+    CmpSimConfig config;
+    /** Cycles to run (a warm job's warm-up length). */
     std::uint64_t cycles = 0;
-    /** Overwrite config.runSeed with deriveRunSeed(baseSeed,
-     * benchmark, tag); false keeps the caller's runSeed (the
-     * legacy serial-path behaviour). */
-    bool deriveSeed = true;
+    /** Snapshot file, if non-empty. A warm job writes it after
+     * `cycles`; any other job restores it, zeroes the measurement
+     * and runs `cycles` more (a fork). */
+    std::string snapshot;
+    bool warm = false;
 };
 
 /** Result (or captured failure) of one job. */
-struct ExperimentOutcome
+struct Outcome
 {
+    Outcome() = default;
+    /** The not-yet-run outcome of `job`: its tag, benchmarks and
+     * seed. */
+    explicit Outcome(const Job& job);
+
     std::string tag;
+    /** The job's benchmarks, comma-separated. */
     std::string benchmark;
     std::uint64_t seed = 0; ///< runSeed the simulation used
     bool ok = false;
     std::string error;      ///< failure description when !ok
-    SimResult result;       ///< valid only when ok
+    /** Valid only when ok; empty for a warm job. A single-core
+     * job's SimResult is result.cores.front(). */
+    CmpResult result;
     /** Wall-clock seconds this job took (simulation only, not
      * queueing); informational, never part of the result hash. */
     double wallSeconds = 0;
 };
 
-/** Fixed-size thread pool over independent simulation jobs. */
-class ExperimentRunner
-{
-  public:
-    /** Called as each job completes: (outcome, done, total). */
-    using ProgressFn = std::function<void(
-        const ExperimentOutcome&, std::size_t, std::size_t)>;
+/**
+ * Execute one job on the calling thread — the one job function of
+ * every backend, so results cannot depend on the backend.
+ * Exceptions are captured into the outcome.
+ */
+Outcome runJob(const Job& job);
 
-    struct Options
-    {
-        /** Worker count; <= 0 selects defaultThreads(). */
-        int threads = 0;
-        /** Experiment-level seed the per-job seeds derive from. */
-        std::uint64_t baseSeed = 1;
-        /** Optional completion callback (serialized). */
-        ProgressFn progress;
-    };
+/** A job list in, outcomes by index out. */
+using Backend =
+    std::function<std::vector<Outcome>(const std::vector<Job>&)>;
 
-    ExperimentRunner() = default;
-    explicit ExperimentRunner(Options options)
-        : options_(std::move(options))
-    {}
-
-    /** Queue a job; @return its submission index. */
-    std::size_t add(ExperimentJob job);
-
-    /** Queue a job from its parts; @return submission index. */
-    std::size_t add(std::string tag, const SimConfig& config,
-                    std::string benchmark, std::uint64_t cycles);
-
-    /** Jobs queued and not yet run. */
-    std::size_t pending() const { return jobs_.size(); }
-
-    /**
-     * Execute every queued job and clear the queue. Outcomes are
-     * indexed by submission order regardless of scheduling.
-     */
-    std::vector<ExperimentOutcome> run();
-
-    /**
-     * Execute one job on the calling thread — the serial reference
-     * path the pool's workers also use, so parallel results are
-     * bit-identical to serial ones by construction. Exceptions are
-     * captured into the outcome.
-     */
-    static ExperimentOutcome runJob(const ExperimentJob& job,
-                                    std::uint64_t base_seed);
-
-    /** TEMPEST_THREADS if set, else hardware concurrency. */
-    static int defaultThreads();
-
-  private:
-    Options options_;
-    std::vector<ExperimentJob> jobs_;
-};
+/**
+ * The thread backend: run `jobs` on `threads` threads (<= 0:
+ * hardware concurrency) and return outcomes by index.
+ */
+std::vector<Outcome> runJobs(const std::vector<Job>& jobs,
+                             int threads);
 
 namespace experiments
 {
@@ -178,74 +151,84 @@ parallelFor(std::size_t total, int threads, Fn&& fn)
         t.join();
 }
 
-/**
- * Run the cross product of tagged configurations and benchmarks
- * through the runner. Outcome order: configs-major, benchmarks
- * minor (the order the nested loops submit in).
- */
-std::vector<ExperimentOutcome> runSweep(
-    const std::vector<std::pair<std::string, SimConfig>>& configs,
-    const std::vector<std::string>& benchmarks,
-    std::uint64_t cycles,
-    const ExperimentRunner::Options& options = {});
+/** A single-core job: `config` (its runSeed is the seed) running
+ * `benchmark` for `cycles`. */
+Job singleCoreJob(std::string tag, const SimConfig& config,
+                  const std::string& benchmark,
+                  std::uint64_t cycles);
 
 /**
- * Warm-state forking (see DESIGN.md §11).
+ * The cross product of tagged configurations and benchmarks,
+ * configs-major. Job (tag, benchmark) runs seed
+ * deriveRunSeed(base_seed, benchmark, tag).
+ */
+std::vector<Job> sweepJobs(
+    const std::vector<std::pair<std::string, SimConfig>>& configs,
+    const std::vector<std::string>& benchmarks,
+    std::uint64_t cycles, std::uint64_t base_seed);
+
+/**
+ * Warm-state forking (see DESIGN.md §11) as one job list.
  *
  * Instead of every (config, benchmark) job re-simulating the same
- * warm-up prefix, each benchmark is warmed up once under a shared
- * neutral configuration, snapshotted, and every DTM configuration
- * forks from that snapshot. All forks of a benchmark share the
- * warm-up's derived seed — deriveRunSeed(baseSeed, benchmark,
- * warmTag) — so the instruction stream continues identically in
- * every fork; per-config decorrelation is intentionally given up,
- * which is exactly the paper's methodology (same workload, DTM
- * policies differ).
+ * warm-up prefix, each benchmark is warmed up once under the
+ * shared neutral `warm_config` and snapshotted to
+ * `<spill_dir>/warm_<benchmark>.ckpt`, and every configuration
+ * forks from that snapshot. The list holds one warm job per
+ * benchmark (tag "warmup"), then every fork, configs-major. All
+ * jobs of a benchmark run the warm-up's seed,
+ * deriveRunSeed(base_seed, benchmark, "warmup"), so the
+ * instruction stream continues identically in every fork: the
+ * paper's methodology (same workload, DTM policies differ).
  *
  * Discipline: the warm-up configuration must use the same
  * pipeline geometry, floorplan variant, and thermal parameters as
  * every fork (restoreCheckpoint enforces this), and should keep
  * all DTM techniques off so no technique-specific state leaks
- * into the snapshot. Config-derived controls (round-robin,
- * port mapping, fetch throttle) are re-asserted per fork by
- * restoreCheckpoint().
+ * into the snapshot. Config-derived controls (round-robin, port
+ * mapping, fetch throttle) are re-asserted per fork by
+ * restoreCheckpoint(). fatal() if `spill_dir` is empty.
  */
-struct WarmForkOptions
+std::vector<Job> warmForkJobs(
+    const std::vector<std::pair<std::string, SimConfig>>& configs,
+    const std::vector<std::string>& benchmarks,
+    const SimConfig& warm_config, std::uint64_t warmup_cycles,
+    std::uint64_t measure_cycles, std::uint64_t base_seed,
+    const std::string& spill_dir);
+
+/**
+ * Run `jobs` in two phases on `backend`: first its warm jobs,
+ * then every other job. A job reading the snapshot of a warm job
+ * that failed does not run; it fails with "warm-up failed:
+ * <error>". Outcomes are indexed like `jobs`, and a list without
+ * warm jobs is one plain backend call.
+ */
+std::vector<Outcome> runWarmFork(const std::vector<Job>& jobs,
+                                 const Backend& backend);
+
+/** A private directory for warm-fork snapshots under the system
+ * temporary directory, removed with its contents on destruction;
+ * fatal() if it cannot be made. */
+class SpillDir
 {
-    /** Shared warm-up configuration (neutral: techniques off). */
-    SimConfig warmConfig;
-    /** Cycles to warm up before the snapshot. */
-    std::uint64_t warmupCycles = 0;
-    /** Seed identity of the warm-up (shared by all forks). */
-    std::string warmTag = "warmup";
-    /** Zero measurement state after restore so results cover only
-     * the post-fork region. */
-    bool resetMeasurement = true;
-    /** Non-empty: spill snapshots to `<dir>/warm_<bench>.ckpt`
-     * and re-read per fork instead of keeping them in memory. */
-    std::string spillDir;
+  public:
+    SpillDir();
+    ~SpillDir();
+    SpillDir(const SpillDir&) = delete;
+    SpillDir& operator=(const SpillDir&) = delete;
+
+    const std::string& path() const { return path_; }
+
+  private:
+    std::string path_;
 };
 
 /**
- * Run the (configs x benchmarks) sweep with warm-state forking:
- * one warm-up per benchmark, then every config forks from the
- * snapshot. Outcome order matches runSweep (configs-major).
- * Warm-ups and forks both run on the options thread pool, and the
- * outcome set is bit-identical at any thread count.
- */
-std::vector<ExperimentOutcome> runWarmForkSweep(
-    const std::vector<std::pair<std::string, SimConfig>>& configs,
-    const std::vector<std::string>& benchmarks,
-    std::uint64_t measure_cycles, const WarmForkOptions& warm,
-    const ExperimentRunner::Options& options = {});
-
-/**
  * Warm one benchmark under `warm_config` for `warmup_cycles` and
- * return the snapshot bytes — the single-benchmark half of
- * runWarmForkSweep's phase 1, exposed so long-lived services
- * (tempest_serve's warm-snapshot pool) can build and keep
- * snapshots across requests. `seed` is the exact runSeed the
- * snapshot bakes in; every fork must use the same one
+ * return the snapshot bytes — what a warm job writes, for
+ * long-lived services (tempest_serve's warm-snapshot pool) that
+ * keep snapshots in memory across requests. `seed` is the exact
+ * runSeed the snapshot bakes in; every fork must use the same one
  * (restoreCheckpoint enforces it).
  */
 std::string warmSnapshot(const SimConfig& warm_config,
@@ -255,12 +238,11 @@ std::string warmSnapshot(const SimConfig& warm_config,
 
 /**
  * Fork a simulation from `snapshot` under `config` and run
- * `measure_cycles` more cycles — runWarmForkSweep's phase 2 for
- * one job. `config` may differ from the snapshot's warm-up config
- * in DTM technique settings (restoreCheckpoint re-asserts
- * config-derived controls) but must share benchmark, seed, and
- * geometry. With `reset_measurement`, the result covers only the
- * post-fork region. Deterministic: the same
+ * `measure_cycles` more cycles — what a fork job does. `config`
+ * may differ from the snapshot's warm-up config in DTM technique
+ * settings (restoreCheckpoint re-asserts config-derived controls)
+ * but must share benchmark, seed, and geometry. The result covers
+ * only the post-fork region. Deterministic: the same
  * (snapshot, config, measure_cycles) always returns a
  * bit-identical SimResult.
  */
@@ -268,8 +250,7 @@ SimResult runFromSnapshot(const SimConfig& config,
                           const std::string& benchmark,
                           std::uint64_t seed,
                           const std::string& snapshot,
-                          std::uint64_t measure_cycles,
-                          bool reset_measurement = true);
+                          std::uint64_t measure_cycles);
 
 } // namespace experiments
 

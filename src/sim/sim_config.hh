@@ -44,6 +44,8 @@ struct SimConfig
     /** Start from the steady state of the first interval's power
      * (clamped at the threshold) instead of ambient. */
     bool warmStart = true;
+
+    bool operator==(const SimConfig&) const = default;
 };
 
 /** Per-block temperature summary. */

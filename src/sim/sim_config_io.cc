@@ -1,6 +1,7 @@
 #include "sim/sim_config_io.hh"
 
 #include "common/log.hh"
+#include "uarch/regfile.hh"
 
 namespace tempest
 {
@@ -106,6 +107,24 @@ simConfigFromConfig(const Config& cfg)
 namespace
 {
 
+const char*
+variantKey(FloorplanVariant variant)
+{
+    switch (variant) {
+      case FloorplanVariant::Baseline: return "baseline";
+      case FloorplanVariant::IqConstrained: return "iq";
+      case FloorplanVariant::AluConstrained: return "alu";
+      case FloorplanVariant::RegfileConstrained: return "regfile";
+    }
+    return "invalid";
+}
+
+const char*
+solverKey(ThermalSolver solver)
+{
+    return solver == ThermalSolver::Euler ? "euler" : "expm";
+}
+
 /** Split a comma-separated list, trimming surrounding spaces. */
 std::vector<std::string>
 splitList(const std::string& s)
@@ -189,6 +208,62 @@ cmpConfigFromConfig(const Config& cfg)
 
     cmp.validate();
     return cmp;
+}
+
+Config
+configFromCmpConfig(const CmpSimConfig& cmp)
+{
+    const SimConfig& sim = cmp.base;
+    Config cfg;
+    cfg.set("floorplan.variant", variantKey(sim.variant));
+    cfg.setDouble("thermal.time_scale", sim.thermal.timeScale);
+    cfg.setDouble("thermal.ambient", sim.thermal.ambient);
+    cfg.setDouble("thermal.convection", sim.thermal.rConvection);
+    cfg.set("thermal.solver", solverKey(sim.thermal.solver));
+    cfg.setInt("thermal.max_cached_propagators",
+               sim.thermal.maxCachedPropagators);
+    cfg.setDouble("thermal.r_stack_bond",
+                  sim.thermal.rStackBondPerArea);
+    cfg.setDouble("thermal.stacked_die_thickness",
+                  sim.thermal.stackedDieThickness);
+    cfg.setInt("sim.sample_interval",
+               static_cast<std::int64_t>(sim.sampleIntervalCycles));
+    cfg.setBool("sim.warm_start", sim.warmStart);
+
+    const DtmConfig& dtm = sim.dtm;
+    cfg.setDouble("dtm.max_temperature", dtm.maxTemperature);
+    cfg.setBool("dtm.toggling", dtm.iqToggling);
+    cfg.setDouble("dtm.toggle_delta", dtm.toggleDeltaK);
+    cfg.setBool("dtm.alu_turnoff", dtm.aluTurnoff);
+    cfg.setBool("dtm.regfile_turnoff", dtm.regfileTurnoff);
+    cfg.setBool("dtm.round_robin", dtm.roundRobin);
+    cfg.setBool("dtm.fetch_throttling", dtm.fetchThrottling);
+    cfg.setDouble("dtm.cooling_time", dtm.coolingTime);
+    cfg.set("dtm.mapping", portMappingName(dtm.mapping));
+
+    cfg.setInt("cmp.cores", cmp.cores);
+    cfg.setBool("cmp.l2", cmp.sharedL2);
+    std::string benchmarks;
+    for (const std::string& b : cmp.benchmarks)
+        benchmarks += (benchmarks.empty() ? "" : ",") + b;
+    cfg.set("cmp.benchmarks", benchmarks);
+
+    const CmpMigrationConfig& mig = cmp.migration;
+    cfg.setBool("cmp.migration.enabled", mig.enabled);
+    cfg.setDouble("cmp.migration.margin", mig.marginK);
+    cfg.setDouble("cmp.migration.min_gap", mig.minGapK);
+    cfg.setInt("cmp.migration.cooldown_intervals",
+               static_cast<std::int64_t>(mig.cooldownIntervals));
+    cfg.setInt("cmp.migration.stall_cycles",
+               static_cast<std::int64_t>(mig.baseStallCycles));
+    cfg.setInt("cmp.migration.bytes_per_cycle",
+               static_cast<std::int64_t>(mig.busBytesPerCycle));
+
+    cfg.setBool("stack.dram", cmp.stack.dram);
+    cfg.setDouble("stack.dram_energy_per_access",
+                  cmp.stack.dramEnergyPerAccess);
+    cfg.setDouble("stack.dram_static_w", cmp.stack.dramStaticW);
+    return cfg;
 }
 
 } // namespace tempest

@@ -1,9 +1,11 @@
 /**
  * @file
  * Config-file <-> SimConfig translation shared by the CLI driver
- * (tools/tempest_run.cc) and the serve daemon (src/serve/). Both
- * accept the same dotted keys, so a request sent to tempest_serve
- * names exactly the simulation the one-shot driver would run:
+ * (tools/tempest_run.cc), the serve daemon (src/serve/) and the
+ * process backend (src/sim/fabric/), which ships every job's
+ * config as these keys. All accept the same dotted keys, so a
+ * request sent to tempest_serve names exactly the simulation the
+ * one-shot driver would run:
  *
  *   [run]      seed
  *   [floorplan] variant = baseline|iq|alu|regfile
@@ -67,6 +69,17 @@ SimConfig simConfigFromConfig(const Config& cfg);
  * simulation of the same keys.
  */
 CmpSimConfig cmpConfigFromConfig(const Config& cfg);
+
+/**
+ * The inverse of cmpConfigFromConfig(): every key but run.seed,
+ * which parses as a non-negative int64 and so cannot carry every
+ * seed (callers ship the seed on its own). Fields without a key
+ * (pipeline geometry, energies, most thermal and DTM constants,
+ * sensor quantum) are not rendered, so the round trip
+ * cmpConfigFromConfig(configFromCmpConfig(c)) reproduces `c` only
+ * when those fields hold their defaults; compare with == to tell.
+ */
+Config configFromCmpConfig(const CmpSimConfig& cmp);
 
 } // namespace tempest
 

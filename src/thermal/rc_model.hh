@@ -125,6 +125,7 @@ struct ThermalParams
     ThermalSolver solver = ThermalSolver::Expm;
 
     void validate() const;
+    bool operator==(const ThermalParams&) const = default;
 };
 
 /** The RC network and its solvers. */

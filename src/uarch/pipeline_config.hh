@@ -58,6 +58,7 @@ struct PipelineConfig
 
     /** Validate structural invariants; fatal() on violation. */
     void validate() const;
+    bool operator==(const PipelineConfig&) const = default;
 };
 
 } // namespace tempest

@@ -11,8 +11,8 @@
  * with a clear FatalError, snapshots of another format version and
  * identity mismatches must be rejected, unknown chunks must be
  * skipped (forward compatibility), and the warm-fork sweep must be
- * bit-identical at 1/2/8 threads and between the in-memory and
- * spill-to-disk snapshot paths.
+ * bit-identical at 1/2/8 threads and to the in-memory snapshot
+ * path tempest_serve uses.
  *
  * Coverage of the visitors themselves is enforced statically by
  * tools/lint/tempest_lint.py (ctest: lint_tree; DESIGN.md §12):
@@ -402,85 +402,130 @@ TEST(Checkpoint, BranchPredictorRoundTrips)
 
 // ---- warm-state forking ----
 
-std::vector<std::uint64_t>
-warmForkHashes(int threads, const std::string& spill_dir)
+const std::vector<std::pair<std::string, SimConfig>>&
+warmForkConfigs()
 {
-    const std::vector<std::pair<std::string, SimConfig>> configs = {
+    static const std::vector<std::pair<std::string, SimConfig>> all = {
         {"iq_base", configFor("iq_base")},
         {"iq_toggling", configFor("iq_toggling")},
     };
-    const std::vector<std::string> benchmarks = {"art", "mesa"};
+    return all;
+}
 
-    experiments::WarmForkOptions warm;
-    warm.warmConfig = configFor("iq_base");
-    warm.warmupCycles = kSaveCycle;
-    warm.spillDir = spill_dir;
-
-    ExperimentRunner::Options options;
-    options.threads = threads;
-    options.baseSeed = 1;
-
-    const std::vector<ExperimentOutcome> outcomes =
-        experiments::runWarmForkSweep(configs, benchmarks,
-                                      kRunCycles - kSaveCycle,
-                                      warm, options);
+/** The warm-fork sweep on `threads` threads: its hashes, warm
+ * jobs included (an empty result hashes alike). */
+std::vector<std::uint64_t>
+warmForkHashes(int threads)
+{
+    const experiments::SpillDir spill;
+    const std::vector<Job> jobs = experiments::warmForkJobs(
+        warmForkConfigs(), {"art", "mesa"}, configFor("iq_base"),
+        kSaveCycle, kRunCycles - kSaveCycle, 1, spill.path());
+    const std::vector<Outcome> outcomes = experiments::runWarmFork(
+        jobs, [threads](const std::vector<Job>& batch) {
+            return runJobs(batch, threads);
+        });
     std::vector<std::uint64_t> hashes;
-    for (const ExperimentOutcome& out : outcomes) {
+    for (const Outcome& out : outcomes) {
         EXPECT_TRUE(out.ok) << out.tag << "/" << out.benchmark
                             << ": " << out.error;
         EXPECT_GE(out.wallSeconds, 0.0);
-        hashes.push_back(hashSimResult(out.result));
+        hashes.push_back(hashCmpResult(out.result));
     }
     return hashes;
 }
 
 TEST(WarmFork, BitIdenticalAcrossThreadCounts)
 {
-    const std::vector<std::uint64_t> serial =
-        warmForkHashes(1, "");
-    EXPECT_EQ(warmForkHashes(2, ""), serial);
-    EXPECT_EQ(warmForkHashes(8, ""), serial);
+    const std::vector<std::uint64_t> serial = warmForkHashes(1);
+    EXPECT_EQ(warmForkHashes(2), serial);
+    EXPECT_EQ(warmForkHashes(8), serial);
 }
 
-TEST(WarmFork, SpillToDiskMatchesInMemory)
+/** A fork job (snapshot through a file) equals the in-memory pair
+ * warmSnapshot/runFromSnapshot that tempest_serve uses. */
+TEST(WarmFork, SpilledForksMatchInMemorySnapshots)
 {
-    const std::string dir = tempPath("tempest_warmfork_spill");
-    std::filesystem::create_directories(dir);
-    EXPECT_EQ(warmForkHashes(2, dir), warmForkHashes(1, ""));
-    std::filesystem::remove_all(dir);
+    const experiments::SpillDir spill;
+    const std::vector<Job> jobs = experiments::warmForkJobs(
+        warmForkConfigs(), {"art"}, configFor("iq_base"), kSaveCycle,
+        kRunCycles - kSaveCycle, 1, spill.path());
+    ASSERT_EQ(jobs.size(), 3u);
+    EXPECT_TRUE(runJob(jobs[0]).ok);
+    EXPECT_EQ(jobs[0].snapshot, spill.path() + "/warm_art.ckpt");
+
+    const std::uint64_t seed = deriveRunSeed(1, "art", "warmup");
+    const std::string snapshot = experiments::warmSnapshot(
+        configFor("iq_base"), "art", seed, kSaveCycle);
+    EXPECT_EQ(readCheckpointFile(jobs[0].snapshot), snapshot);
+    for (std::size_t c = 0; c < 2; ++c) {
+        const Outcome fork = runJob(jobs[1 + c]);
+        ASSERT_TRUE(fork.ok) << fork.error;
+        EXPECT_EQ(hashSimResult(fork.result.cores.front()),
+                  hashSimResult(experiments::runFromSnapshot(
+                      warmForkConfigs()[c].second, "art", seed,
+                      snapshot, kRunCycles - kSaveCycle)));
+    }
 }
 
 TEST(WarmFork, ForksShareTheWarmupSeedAndMeasureOnlyTheTail)
 {
-    const std::vector<std::pair<std::string, SimConfig>> configs = {
-        {"iq_base", configFor("iq_base")},
-        {"iq_toggling", configFor("iq_toggling")},
-    };
-    const std::vector<std::string> benchmarks = {"art"};
-
-    experiments::WarmForkOptions warm;
-    warm.warmConfig = configFor("iq_base");
-    warm.warmupCycles = kSaveCycle;
-
-    ExperimentRunner::Options options;
-    options.threads = 1;
-    options.baseSeed = 1;
-
-    const auto outcomes = experiments::runWarmForkSweep(
-        configs, benchmarks, kRunCycles - kSaveCycle, warm,
-        options);
-    ASSERT_EQ(outcomes.size(), 2u);
+    const experiments::SpillDir spill;
+    const auto outcomes = experiments::runWarmFork(
+        experiments::warmForkJobs(warmForkConfigs(), {"art"},
+                                  configFor("iq_base"), kSaveCycle,
+                                  kRunCycles - kSaveCycle, 1,
+                                  spill.path()),
+        [](const std::vector<Job>& batch) {
+            return runJobs(batch, 1);
+        });
+    ASSERT_EQ(outcomes.size(), 3u); // the warm-up, then two forks
     const std::uint64_t warm_seed =
         deriveRunSeed(1, "art", "warmup");
-    for (const ExperimentOutcome& out : outcomes) {
+    for (const Outcome& out : outcomes) {
         ASSERT_TRUE(out.ok) << out.error;
         EXPECT_EQ(out.seed, warm_seed);
+    }
+    for (std::size_t i = 1; i < outcomes.size(); ++i) {
         // Measurement covers only the post-fork region: at least
         // the requested cycles, and strictly less than warm-up +
         // measure (cooling stalls can extend the last interval).
-        EXPECT_GE(out.result.cycles, kRunCycles - kSaveCycle);
-        EXPECT_LT(out.result.cycles, kRunCycles);
+        const SimResult& r = outcomes[i].result.cores.front();
+        EXPECT_GE(r.cycles, kRunCycles - kSaveCycle);
+        EXPECT_LT(r.cycles, kRunCycles);
     }
+}
+
+TEST(WarmFork, FailedWarmupFailsItsForksWithoutRunningThem)
+{
+    const experiments::SpillDir spill;
+    // A spill path inside a missing directory: the warm job cannot
+    // write its snapshot.
+    const auto outcomes = experiments::runWarmFork(
+        experiments::warmForkJobs(warmForkConfigs(), {"art"},
+                                  configFor("iq_base"), kSaveCycle,
+                                  kSaveCycle, 1,
+                                  spill.path() + "/missing"),
+        [](const std::vector<Job>& batch) {
+            return runJobs(batch, 2);
+        });
+    ASSERT_EQ(outcomes.size(), 3u);
+    EXPECT_FALSE(outcomes[0].ok);
+    for (std::size_t i = 1; i < outcomes.size(); ++i) {
+        EXPECT_FALSE(outcomes[i].ok);
+        EXPECT_EQ(outcomes[i].error,
+                  "warm-up failed: " + outcomes[0].error);
+        EXPECT_EQ(outcomes[i].wallSeconds, 0.0);
+    }
+}
+
+TEST(WarmFork, NeedsASpillDirectory)
+{
+    EXPECT_THROW(experiments::warmForkJobs(warmForkConfigs(), {"art"},
+                                           configFor("iq_base"),
+                                           kSaveCycle, kSaveCycle, 1,
+                                           ""),
+                 FatalError);
 }
 
 } // namespace

@@ -2,7 +2,7 @@
  * @file
  * CMP-layer tests: the 1-core engine against the single-core
  * Simulator facade, 2-core golden hashes (stable across
- * Debug/Release and runner thread counts), cross-core migration
+ * Debug/Release and thread-backend sizes), cross-core migration
  * mechanics, mid-flight checkpoint round-trips, measurement
  * origins, die-wide traces, and the stacked DRAM (3D) heating
  * path.
@@ -27,6 +27,7 @@
 #include "sim/checkpoint/checkpoint.hh"
 #include "sim/cmp/cmp_simulator.hh"
 #include "sim/experiment.hh"
+#include "sim/runner.hh"
 #include "sim/trace.hh"
 #include "workload/profile.hh"
 
@@ -126,10 +127,10 @@ cmpGoldens()
     return cases;
 }
 
-CmpJob
+Job
 jobFor(const CmpGoldenCase& c)
 {
-    CmpJob job;
+    Job job;
     job.tag = c.name;
     job.config = cmpConfigFor(c.cores, c.benchmarks);
     if (c.migration)
@@ -160,23 +161,24 @@ TEST(Cmp, GoldenBitIdentity)
     }
 }
 
-/** Job outcomes must not depend on the worker thread count. */
-TEST(Cmp, RunCmpJobsIsThreadCountInvariant)
+/** CMP job outcomes on the thread backend must not depend on the
+ * thread count, and must match the goldens. */
+TEST(Cmp, JobsAreThreadCountInvariant)
 {
-    std::vector<CmpJob> jobs;
+    std::vector<Job> jobs;
     for (const CmpGoldenCase& c : cmpGoldens())
         jobs.push_back(jobFor(c));
 
-    const std::vector<CmpJobOutcome> t1 = runCmpJobs(jobs, 1);
-    const std::vector<CmpJobOutcome> t2 = runCmpJobs(jobs, 2);
-    const std::vector<CmpJobOutcome> t8 = runCmpJobs(jobs, 8);
-    ASSERT_EQ(t1.size(), jobs.size());
-    ASSERT_EQ(t2.size(), jobs.size());
-    ASSERT_EQ(t8.size(), jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_EQ(t1[i].tag, jobs[i].tag);
-        EXPECT_EQ(t1[i].hash, t2[i].hash) << jobs[i].tag;
-        EXPECT_EQ(t1[i].hash, t8[i].hash) << jobs[i].tag;
+    for (const int threads : {1, 2, 8}) {
+        const std::vector<Outcome> out = runJobs(jobs, threads);
+        ASSERT_EQ(out.size(), jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            ASSERT_TRUE(out[i].ok) << out[i].error;
+            EXPECT_EQ(out[i].tag, jobs[i].tag);
+            EXPECT_EQ(hashCmpResult(out[i].result),
+                      cmpGoldens()[i].hash)
+                << jobs[i].tag << " at " << threads << " threads";
+        }
     }
 }
 

@@ -1,36 +1,32 @@
 /**
  * @file
  * Sweep-fabric tests (DESIGN.md §15): wire-protocol round trips,
- * bit-exact SimResult transport, and the coordinator/worker
- * process pool — including the contract the whole subsystem
- * exists for: fabric-merged sweeps are bit-identical to the
- * in-process runner at any worker count, before and after worker
- * death, re-queue, and respawn.
+ * bit-exact CmpResult transport, bounded blob decoding, and the
+ * process backend — including the contract the whole subsystem
+ * exists for: job lists run on worker processes are bit-identical
+ * to the thread backend at any worker count, before and after
+ * worker death, re-queue, and respawn, for single-core and CMP
+ * jobs alike.
  */
 
 #include <signal.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <condition_variable>
-#include <cstdlib>
+#include <cstdint>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/config.hh"
 #include "common/log.hh"
+#include "sim/checkpoint/stateio.hh"
 #include "sim/experiment.hh"
 #include "sim/fabric/coordinator.hh"
 #include "sim/fabric/fabric_protocol.hh"
-#include "sim/fabric/worker.hh"
+#include "sim/paper.hh"
 #include "sim/runner.hh"
-#include "sim/sim_config_io.hh"
-#include "workload/profile.hh"
 
 using namespace tempest;
 using namespace tempest::fabric;
@@ -38,78 +34,42 @@ using namespace tempest::fabric;
 namespace
 {
 
-/** Scratch directory for spill files, removed on destruction. */
-struct TempDir
+/** A 2-core result with migration on: every CmpResult field is
+ * populated. */
+CmpResult
+smallCmpResult()
 {
-    std::string path;
-
-    TempDir()
-    {
-        char tmpl[] = "/tmp/tempest_fabric_test_XXXXXX";
-        if (!mkdtemp(tmpl))
-            throw std::runtime_error("mkdtemp failed");
-        path = tmpl;
-    }
-
-    ~TempDir()
-    {
-        const std::string cmd = "rm -rf " + path;
-        [[maybe_unused]] const int rc = std::system(cmd.c_str());
-    }
-};
-
-SimResult
-smallResult()
-{
-    SimConfig config = experiments::iqBase();
-    config.runSeed = 42;
-    Simulator sim(config, spec2000("art"));
-    return sim.run(20000);
+    CmpSimConfig config;
+    config.base = experiments::iqBase();
+    config.base.runSeed = 42;
+    config.cores = 2;
+    config.benchmarks = {"art", "mesa"};
+    config.migration.enabled = true;
+    return CmpSimulator(config).run(20000);
 }
 
 std::vector<std::uint64_t>
-hashesOf(const std::vector<ExperimentOutcome>& outcomes)
+hashesOf(const std::vector<Outcome>& outcomes)
 {
     std::vector<std::uint64_t> hashes;
     hashes.reserve(outcomes.size());
-    for (const ExperimentOutcome& o : outcomes) {
+    for (const Outcome& o : outcomes) {
         EXPECT_TRUE(o.ok) << o.tag << "/" << o.benchmark << ": "
                           << o.error;
-        hashes.push_back(o.ok
-                             ? experiments::hashSimResult(o.result)
-                             : 0);
+        hashes.push_back(o.ok ? hashCmpResult(o.result) : 0);
     }
     return hashes;
 }
 
 /** The small sweep every pool test runs: 2 configs x 2
- * benchmarks, dotted-key configs. */
-SweepSpec
+ * benchmarks. */
+std::vector<Job>
 smallSweep()
 {
-    SweepSpec spec;
-    Config base;
-    Config toggling;
-    toggling.set("dtm.toggling", "true");
-    spec.configs = {{"base", base}, {"toggling", toggling}};
-    spec.benchmarks = {"art", "mesa"};
-    spec.measureCycles = 50000;
-    return spec;
-}
-
-/** In-process reference for smallSweep() (cold path). */
-std::vector<ExperimentOutcome>
-smallSweepReference(std::uint64_t base_seed)
-{
-    const SweepSpec spec = smallSweep();
-    std::vector<std::pair<std::string, SimConfig>> configs;
-    for (const auto& [tag, cfg] : spec.configs)
-        configs.emplace_back(tag, simConfigFromConfig(cfg));
-    ExperimentRunner::Options options;
-    options.threads = 2;
-    options.baseSeed = base_seed;
-    return experiments::runSweep(configs, spec.benchmarks,
-                                 spec.measureCycles, options);
+    return experiments::sweepJobs(
+        {{"base", experiments::iqBase()},
+         {"toggling", experiments::iqToggling()}},
+        {"art", "mesa"}, 50000, 1);
 }
 
 } // namespace
@@ -132,205 +92,172 @@ TEST(FabricProtocol, HexRoundTrip)
 
 TEST(FabricProtocol, JobRoundTrip)
 {
-    FabricJob job;
-    job.kind = FabricJob::Kind::Run;
-    job.index = 7;
+    // A fork of a 4-core stacked die, at a seed run.seed could
+    // not carry (>= 2^63).
+    Job job = paper::cmpScaleJobs(2'000'000).back();
     job.tag = "iq_toggling";
-    job.benchmark = "mesa";
-    job.cycles = 2'000'000;
-    job.seed = 0xdeadbeefcafef00dULL;
-    job.config.set("dtm.toggling", "true");
-    job.config.set("thermal.time_scale", "0.04");
-    job.snapshotPath = "/spill/warm_mesa.ckpt";
-    job.resetMeasurement = false;
+    job.config.base.dtm.iqToggling = true;
+    job.config.base.runSeed = 0xdeadbeefcafef00dULL;
+    job.snapshot = "/spill/warm_mesa.ckpt";
 
-    const FabricJob back =
-        parseJob(serve::Json::parse(encodeJob(job)));
-    EXPECT_EQ(back.kind, job.kind);
-    EXPECT_EQ(back.index, job.index);
+    const auto [index, back] =
+        parseJob(serve::Json::parse(encodeJob(7, job)));
+    EXPECT_EQ(index, 7u);
     EXPECT_EQ(back.tag, job.tag);
-    EXPECT_EQ(back.benchmark, job.benchmark);
     EXPECT_EQ(back.cycles, job.cycles);
-    EXPECT_EQ(back.seed, job.seed);
-    EXPECT_EQ(back.config.entries(), job.config.entries());
-    EXPECT_EQ(back.snapshotPath, job.snapshotPath);
-    EXPECT_EQ(back.resetMeasurement, job.resetMeasurement);
+    EXPECT_TRUE(back.config == job.config);
+    EXPECT_EQ(back.config.base.runSeed, job.config.base.runSeed);
+    EXPECT_EQ(back.snapshot, job.snapshot);
+    EXPECT_FALSE(back.warm);
 }
 
-TEST(FabricProtocol, EmptyConfigJobRoundTrips)
+TEST(FabricProtocol, WarmJobRoundTrips)
 {
-    // An all-defaults config must survive as an empty object,
-    // not degrade to null (the neutral warm-up config is empty).
-    FabricJob job;
-    job.kind = FabricJob::Kind::Warm;
-    job.index = 0;
-    job.tag = "warmup";
-    job.benchmark = "art";
-    job.cycles = 1000;
-    job.seed = 1;
-    job.snapshotPath = "/tmp/x.ckpt";
-    const FabricJob back =
-        parseJob(serve::Json::parse(encodeJob(job)));
-    EXPECT_TRUE(back.config.entries().empty());
-    EXPECT_EQ(back.kind, FabricJob::Kind::Warm);
+    Job job = experiments::singleCoreJob(
+        "warmup", experiments::iqBase(), "art", 1000);
+    job.snapshot = "/tmp/x.ckpt";
+    job.warm = true;
+    const auto [index, back] =
+        parseJob(serve::Json::parse(encodeJob(0, job)));
+    EXPECT_EQ(index, 0u);
+    EXPECT_TRUE(back.warm);
+    EXPECT_EQ(back.snapshot, job.snapshot);
+    EXPECT_TRUE(back.config == job.config);
 }
 
 TEST(FabricProtocol, WarmJobWithoutSnapshotPathIsFatal)
 {
-    FabricJob job;
-    job.kind = FabricJob::Kind::Warm;
-    job.tag = "warmup";
-    job.benchmark = "art";
-    job.cycles = 1000;
-    EXPECT_THROW(parseJob(serve::Json::parse(encodeJob(job))),
+    Job job = experiments::singleCoreJob(
+        "warmup", experiments::iqBase(), "art", 1000);
+    job.warm = true;
+    EXPECT_THROW(parseJob(serve::Json::parse(encodeJob(0, job))),
                  FatalError);
 }
 
 TEST(FabricProtocol, ResultRoundTripPreservesEveryBit)
 {
-    FabricResult res;
-    res.index = 3;
-    res.ok = true;
-    res.result = smallResult();
-    res.hasResult = true;
-    res.resultHash = experiments::hashSimResult(res.result);
-    res.wallSeconds = 0.25;
+    Outcome out;
+    out.ok = true;
+    out.result = smallCmpResult();
+    out.wallSeconds = 0.25;
+    ASSERT_EQ(out.result.cores.size(), 2u);
+    ASSERT_FALSE(out.result.shared.empty());
 
-    const FabricResult back =
-        parseResult(serve::Json::parse(encodeResult(res)));
-    EXPECT_EQ(back.index, res.index);
-    EXPECT_TRUE(back.ok);
-    EXPECT_TRUE(back.hasResult);
-    EXPECT_EQ(back.resultHash, res.resultHash);
+    const auto [index, back] =
+        parseResult(serve::Json::parse(encodeResult(3, out)));
+    EXPECT_EQ(index, 3u);
+    ASSERT_TRUE(back.ok) << back.error;
     // The decoded result must hash identically: every field,
     // every counter, every double bit pattern survived the trip.
-    EXPECT_EQ(experiments::hashSimResult(back.result),
-              res.resultHash);
-    EXPECT_EQ(back.wallSeconds, res.wallSeconds);
+    EXPECT_EQ(hashCmpResult(back.result), hashCmpResult(out.result));
+    EXPECT_EQ(back.result.tileOfJob, out.result.tileOfJob);
+    EXPECT_EQ(back.wallSeconds, out.wallSeconds);
+}
+
+TEST(FabricProtocol, CorruptedResultFailsTheHashCheck)
+{
+    Outcome out;
+    out.ok = true;
+    out.result = smallCmpResult();
+    serve::Json doc =
+        serve::Json::parse(encodeResult(0, out));
+    doc["result_hash"] = serve::Json("0x1");
+    const auto [index, back] = parseResult(doc);
+    EXPECT_FALSE(back.ok);
+    EXPECT_NE(back.error.find("result hash mismatch"),
+              std::string::npos)
+        << back.error;
 }
 
 TEST(FabricProtocol, ErrorResultRoundTrip)
 {
-    FabricResult res;
-    res.index = 9;
-    res.ok = false;
-    res.error = "unknown benchmark 'nope'";
-    const FabricResult back =
-        parseResult(serve::Json::parse(encodeResult(res)));
-    EXPECT_EQ(back.index, 9u);
+    Outcome out;
+    out.error = "unknown benchmark 'nope'";
+    const auto [index, back] =
+        parseResult(serve::Json::parse(encodeResult(9, out)));
+    EXPECT_EQ(index, 9u);
     EXPECT_FALSE(back.ok);
-    EXPECT_FALSE(back.hasResult);
-    EXPECT_EQ(back.error, res.error);
+    EXPECT_EQ(back.error, out.error);
 }
 
 TEST(FabricProtocol, BlobDetectsTrailingBytes)
 {
-    const std::string blob =
-        encodeSimResultBlob(smallResult());
-    EXPECT_THROW(decodeSimResultBlob(blob + "x"), FatalError);
-    EXPECT_THROW(
-        decodeSimResultBlob(blob.substr(0, blob.size() - 1)),
-        FatalError);
+    const CmpResult result = smallCmpResult();
+    const std::string sim = encodeSimResultBlob(result.cores[0]);
+    EXPECT_THROW(decodeSimResultBlob(sim + "x"), FatalError);
+    EXPECT_THROW(decodeSimResultBlob(sim.substr(0, sim.size() - 1)),
+                 FatalError);
+    const std::string cmp = encodeCmpResultBlob(result);
+    EXPECT_THROW(decodeCmpResultBlob(cmp + "x"), FatalError);
+    EXPECT_THROW(decodeCmpResultBlob(cmp.substr(0, cmp.size() - 1)),
+                 FatalError);
+}
+
+// Each count a result blob carries is checked against the bytes
+// left before anything is sized by it: a count of 0xFFFFFFFF must
+// be a FatalError, not a multi-gigabyte allocation.
+
+constexpr std::uint32_t kHugeCount = 0xFFFFFFFFu;
+
+TEST(FabricProtocol, BlobRejectsAHugeBlockCount)
+{
+    const SimResult r;
+    StateWriter w;
+    w.str("art");
+    w.f64(r.ipc);
+    w.u64(r.cycles);
+    w.u64(r.instructions);
+    w.u64(r.stallCycles);
+    w.blob(&r.dtm, sizeof(r.dtm));
+    w.blob(&r.activity, sizeof(r.activity));
+    w.u32(kHugeCount);
+    EXPECT_THROW(decodeSimResultBlob(w.bytes()), FatalError);
+}
+
+TEST(FabricProtocol, BlobRejectsAHugeCoreCount)
+{
+    StateWriter w;
+    w.u32(kHugeCount);
+    w.str(encodeSimResultBlob(SimResult()));
+    EXPECT_THROW(decodeCmpResultBlob(w.bytes()), FatalError);
+}
+
+TEST(FabricProtocol, BlobRejectsAHugeSharedBlockCount)
+{
+    StateWriter w;
+    w.u32(0);
+    w.u32(kHugeCount);
+    w.str("L2");
+    EXPECT_THROW(decodeCmpResultBlob(w.bytes()), FatalError);
+}
+
+TEST(FabricProtocol, BlobRejectsAHugePlacementCount)
+{
+    const CmpDtmStats migration;
+    StateWriter w;
+    w.u32(0);
+    w.u32(0);
+    w.blob(&migration, sizeof(migration));
+    w.u32(kHugeCount);
+    w.i32(0);
+    EXPECT_THROW(decodeCmpResultBlob(w.bytes()), FatalError);
 }
 
 // ---------------------------------------------------------------
-// Worker job execution (no process plumbing)
-// ---------------------------------------------------------------
-
-TEST(FabricWorker, ExecuteJobMatchesInProcessRunner)
-{
-    FabricJob job;
-    job.kind = FabricJob::Kind::Run;
-    job.index = 0;
-    job.tag = "base";
-    job.benchmark = "art";
-    job.cycles = 50000;
-    job.seed = deriveRunSeed(1, "art", "base");
-
-    ExperimentJob ref;
-    ref.tag = "base";
-    ref.benchmark = "art";
-    ref.config = experiments::iqBase();
-    ref.cycles = 50000;
-    const ExperimentOutcome expected =
-        ExperimentRunner::runJob(ref, 1);
-    ASSERT_TRUE(expected.ok) << expected.error;
-
-    const FabricResult got = executeJob(job);
-    ASSERT_TRUE(got.ok) << got.error;
-    ASSERT_TRUE(got.hasResult);
-    EXPECT_EQ(got.resultHash,
-              experiments::hashSimResult(expected.result));
-}
-
-TEST(FabricWorker, ExecuteJobCapturesSimulationErrors)
-{
-    FabricJob job;
-    job.kind = FabricJob::Kind::Run;
-    job.benchmark = "no_such_benchmark";
-    job.cycles = 1000;
-    const FabricResult got = executeJob(job);
-    EXPECT_FALSE(got.ok);
-    EXPECT_FALSE(got.hasResult);
-    EXPECT_NE(got.error.find("no_such_benchmark"),
-              std::string::npos)
-        << got.error;
-}
-
-TEST(FabricWorker, WarmJobWritesForkableSnapshot)
-{
-    TempDir dir;
-    const std::uint64_t seed = deriveRunSeed(1, "art", "warmup");
-    FabricJob warm;
-    warm.kind = FabricJob::Kind::Warm;
-    warm.index = 0;
-    warm.tag = "warmup";
-    warm.benchmark = "art";
-    warm.cycles = 5000;
-    warm.seed = seed;
-    warm.snapshotPath = dir.path + "/warm_art.ckpt";
-    const FabricResult wres = executeJob(warm);
-    ASSERT_TRUE(wres.ok) << wres.error;
-
-    FabricJob fork;
-    fork.kind = FabricJob::Kind::Run;
-    fork.index = 1;
-    fork.tag = "base";
-    fork.benchmark = "art";
-    fork.cycles = 20000;
-    fork.seed = seed;
-    fork.snapshotPath = warm.snapshotPath;
-    const FabricResult fres = executeJob(fork);
-    ASSERT_TRUE(fres.ok) << fres.error;
-
-    // Reference: the in-process warm-fork pair.
-    SimConfig config = experiments::iqBase();
-    const std::string snapshot =
-        experiments::warmSnapshot(config, "art", seed, 5000);
-    const SimResult expected = experiments::runFromSnapshot(
-        config, "art", seed, snapshot, 20000, true);
-    EXPECT_EQ(fres.resultHash,
-              experiments::hashSimResult(expected));
-}
-
-// ---------------------------------------------------------------
-// Coordinator pool: bit-identity at 1/2/8 workers
+// Process backend: bit-identity with the thread backend
 // ---------------------------------------------------------------
 
 TEST(FabricCoordinatorPool, ColdSweepBitIdenticalAcrossWorkerCounts)
 {
-    const std::vector<ExperimentOutcome> reference =
-        smallSweepReference(1);
-    const std::vector<std::uint64_t> expected =
-        hashesOf(reference);
+    const std::vector<Job> jobs = smallSweep();
+    const std::vector<Outcome> reference = runJobs(jobs, 2);
+    const std::vector<std::uint64_t> expected = hashesOf(reference);
 
     for (const int workers : {1, 2, 8}) {
         FabricOptions options;
         options.workers = workers;
-        options.baseSeed = 1;
-        FabricCoordinator coordinator(options);
-        const std::vector<ExperimentOutcome> outcomes =
-            coordinator.runSweep(smallSweep());
+        const std::vector<Outcome> outcomes =
+            FabricCoordinator(options).runJobs(jobs);
         ASSERT_EQ(outcomes.size(), reference.size());
         EXPECT_EQ(hashesOf(outcomes), expected)
             << "at " << workers << " workers";
@@ -343,53 +270,78 @@ TEST(FabricCoordinatorPool, ColdSweepBitIdenticalAcrossWorkerCounts)
     }
 }
 
-TEST(FabricCoordinatorPool, WarmForkSweepBitIdenticalToRunner)
+/** The same CMP jobs on threads at 1/2/4 and on worker processes
+ * at 1/2/4 give equal hashCmpResults. */
+TEST(FabricCoordinatorPool, CmpSweepMatchesAcrossBackends)
 {
-    TempDir fabric_dir;
-    TempDir runner_dir;
-    const SweepSpec spec = smallSweep();
-    const WarmSpec warm_spec{Config{}, 5000, "warmup", true};
+    const std::vector<Job> jobs = paper::cmpScaleJobs(50000);
+    const std::vector<std::uint64_t> expected =
+        hashesOf(runJobs(jobs, 1));
+    for (const int n : {1, 2, 4}) {
+        EXPECT_EQ(hashesOf(runJobs(jobs, n)), expected)
+            << "at " << n << " threads";
+        FabricOptions options;
+        options.workers = n;
+        EXPECT_EQ(hashesOf(FabricCoordinator(options).runJobs(jobs)),
+                  expected)
+            << "at " << n << " worker processes";
+    }
+}
 
-    std::vector<std::pair<std::string, SimConfig>> configs;
-    for (const auto& [tag, cfg] : spec.configs)
-        configs.emplace_back(tag, simConfigFromConfig(cfg));
-    experiments::WarmForkOptions wf;
-    wf.warmConfig = simConfigFromConfig(warm_spec.warmConfig);
-    wf.warmupCycles = warm_spec.warmupCycles;
-    wf.spillDir = runner_dir.path;
-    ExperimentRunner::Options roptions;
-    roptions.threads = 2;
-    const std::vector<ExperimentOutcome> reference =
-        experiments::runWarmForkSweep(configs, spec.benchmarks,
-                                      spec.measureCycles, wf,
-                                      roptions);
-
+TEST(FabricCoordinatorPool, WarmForkBitIdenticalToThreads)
+{
+    const experiments::SpillDir spill;
+    const std::vector<Job> jobs = experiments::warmForkJobs(
+        {{"base", experiments::iqBase()},
+         {"toggling", experiments::iqToggling()}},
+        {"art", "mesa"}, experiments::iqBase(), 5000, 50000, 1,
+        spill.path());
+    const std::vector<Outcome> reference = experiments::runWarmFork(
+        jobs, [](const std::vector<Job>& batch) {
+            return runJobs(batch, 2);
+        });
     FabricOptions options;
     options.workers = 2;
-    options.spillDir = fabric_dir.path;
     FabricCoordinator coordinator(options);
-    const std::vector<ExperimentOutcome> outcomes =
-        coordinator.runWarmForkSweep(spec, warm_spec);
+    const std::vector<Outcome> outcomes = experiments::runWarmFork(
+        jobs, [&](const std::vector<Job>& batch) {
+            return coordinator.runJobs(batch);
+        });
 
     EXPECT_EQ(hashesOf(outcomes), hashesOf(reference));
     for (std::size_t i = 0; i < outcomes.size(); ++i)
         EXPECT_EQ(outcomes[i].seed, reference[i].seed);
 }
 
-TEST(FabricCoordinatorPool, WarmForkNeedsSpillDir)
+TEST(FabricCoordinatorPool, RefusesAConfigTheKeysCannotCarry)
 {
-    FabricCoordinator coordinator(FabricOptions{});
-    EXPECT_THROW(
-        coordinator.runWarmForkSweep(smallSweep(), WarmSpec{}),
-        FatalError);
+    // The long-wire ablation's energy has no dotted key: a worker
+    // would rebuild the default and silently run another config.
+    SimConfig config = experiments::iqBase();
+    config.energy.iqLongCompaction = EnergyParams::paperLongCompaction;
+    const std::vector<Job> jobs = experiments::sweepJobs(
+        {{"iq_base", experiments::iqBase()}, {"long_wire", config}},
+        {"art"}, 20000, 1);
+
+    const std::vector<Outcome> outcomes =
+        FabricCoordinator(FabricOptions{}).runJobs(jobs);
+    ASSERT_EQ(outcomes.size(), 2u);
+    EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
+    EXPECT_FALSE(outcomes[1].ok);
+    EXPECT_NE(outcomes[1].error.find("long_wire/art"),
+              std::string::npos)
+        << outcomes[1].error;
+
+    // The thread backend runs the same job.
+    const std::vector<Outcome> local = runJobs(jobs, 2);
+    EXPECT_TRUE(local[1].ok) << local[1].error;
 }
 
 TEST(FabricCoordinatorPool, SimulationFailureIsNotRetried)
 {
-    SweepSpec spec;
-    spec.configs = {{"base", Config{}}};
-    spec.benchmarks = {"art", "definitely_not_a_benchmark"};
-    spec.measureCycles = 20000;
+    const std::vector<Job> jobs = experiments::sweepJobs(
+        {{"base", experiments::iqBase()}},
+        {"art", "definitely_not_a_benchmark"}, 20000, 1);
 
     std::mutex mu;
     std::vector<std::string> events;
@@ -399,9 +351,8 @@ TEST(FabricCoordinatorPool, SimulationFailureIsNotRetried)
         const std::lock_guard<std::mutex> lock(mu);
         events.push_back(msg);
     };
-    FabricCoordinator coordinator(options);
-    const std::vector<ExperimentOutcome> outcomes =
-        coordinator.runSweep(spec);
+    const std::vector<Outcome> outcomes =
+        FabricCoordinator(options).runJobs(jobs);
     ASSERT_EQ(outcomes.size(), 2u);
     EXPECT_TRUE(outcomes[0].ok) << outcomes[0].error;
     EXPECT_FALSE(outcomes[1].ok);
@@ -420,7 +371,7 @@ TEST(FabricCoordinatorPool, SimulationFailureIsNotRetried)
 TEST(FabricRecovery, KilledWorkerShardsRequeueBitIdentically)
 {
     const std::vector<std::uint64_t> expected =
-        hashesOf(smallSweepReference(1));
+        hashesOf(runJobs(smallSweep(), 2));
 
     // Kill the worker that receives the first dispatched shard,
     // as soon as we see the dispatch event. The coordinator must
@@ -431,7 +382,6 @@ TEST(FabricRecovery, KilledWorkerShardsRequeueBitIdentically)
     std::atomic<bool> killed{false};
     FabricOptions options;
     options.workers = 2;
-    options.baseSeed = 1;
     options.onEvent = [&](const std::string& msg) {
         const std::lock_guard<std::mutex> lock(mu);
         events.push_back(msg);
@@ -446,8 +396,8 @@ TEST(FabricRecovery, KilledWorkerShardsRequeueBitIdentically)
         }
     };
     FabricCoordinator coordinator(options);
-    const std::vector<ExperimentOutcome> outcomes =
-        coordinator.runSweep(smallSweep());
+    const std::vector<Outcome> outcomes =
+        coordinator.runJobs(smallSweep());
 
     EXPECT_EQ(hashesOf(outcomes), expected);
     bool requeued = false;
@@ -463,7 +413,7 @@ TEST(FabricRecovery, KilledWorkerShardsRequeueBitIdentically)
 TEST(FabricRecovery, TotalPoolLossRespawnsWorkers)
 {
     const std::vector<std::uint64_t> expected =
-        hashesOf(smallSweepReference(1));
+        hashesOf(runJobs(smallSweep(), 2));
 
     // Kill EVERY worker once (by pid, as spawned). The pool hits
     // zero survivors at least once and must respawn from budget.
@@ -472,7 +422,6 @@ TEST(FabricRecovery, TotalPoolLossRespawnsWorkers)
     std::size_t kills = 0;
     FabricOptions options;
     options.workers = 1;
-    options.baseSeed = 1;
     options.onEvent = [&](const std::string& msg) {
         const std::lock_guard<std::mutex> lock(mu);
         events.push_back(msg);
@@ -487,8 +436,8 @@ TEST(FabricRecovery, TotalPoolLossRespawnsWorkers)
         }
     };
     FabricCoordinator coordinator(options);
-    const std::vector<ExperimentOutcome> outcomes =
-        coordinator.runSweep(smallSweep());
+    const std::vector<Outcome> outcomes =
+        coordinator.runJobs(smallSweep());
 
     EXPECT_EQ(hashesOf(outcomes), expected);
     bool respawned = false;
@@ -507,18 +456,16 @@ TEST(FabricRecovery, PoisonShardFailsAfterAttemptBudget)
     // A worker command that dies before saying hello: every
     // spawn is lost, the respawn budget drains, and the jobs
     // fail cleanly instead of looping forever.
-    SweepSpec spec;
-    spec.configs = {{"base", Config{}}};
-    spec.benchmarks = {"art"};
-    spec.measureCycles = 1000;
+    const std::vector<Job> jobs = experiments::sweepJobs(
+        {{"base", experiments::iqBase()}}, {"art"}, 1000, 1);
 
     FabricOptions options;
     options.workers = 2;
     options.workerCommand = {"/bin/false"};
     options.respawnBudget = 2;
     FabricCoordinator coordinator(options);
-    const std::vector<ExperimentOutcome> outcomes =
-        coordinator.runSweep(spec);
+    const std::vector<Outcome> outcomes =
+        coordinator.runJobs(jobs);
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_FALSE(outcomes[0].ok);
     EXPECT_FALSE(outcomes[0].error.empty());
@@ -529,10 +476,9 @@ TEST(FabricRecovery, HungJobIsKilledByTimeoutAndBounded)
     // One job big enough to blow the deadline every attempt: the
     // timeout must SIGKILL the worker, re-queue, and finally
     // fail the job after maxJobAttempts dispatches.
-    SweepSpec spec;
-    spec.configs = {{"base", Config{}}};
-    spec.benchmarks = {"art"};
-    spec.measureCycles = 2'000'000'000ULL;
+    const std::vector<Job> jobs = experiments::sweepJobs(
+        {{"base", experiments::iqBase()}}, {"art"},
+        2'000'000'000ULL, 1);
 
     std::mutex mu;
     std::size_t timeouts = 0;
@@ -546,8 +492,8 @@ TEST(FabricRecovery, HungJobIsKilledByTimeoutAndBounded)
             ++timeouts;
     };
     FabricCoordinator coordinator(options);
-    const std::vector<ExperimentOutcome> outcomes =
-        coordinator.runSweep(spec);
+    const std::vector<Outcome> outcomes =
+        coordinator.runJobs(jobs);
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_FALSE(outcomes[0].ok);
     EXPECT_NE(outcomes[0].error.find("job timeout"),

@@ -26,14 +26,11 @@ class Claim : public ::testing::TestWithParam<std::size_t>
     static void
     SetUpTestSuite()
     {
-        ExperimentRunner runner;
-        for (const ExperimentJob& job : batch_.jobs())
-            runner.add(job);
-        outcomes_ = runner.run();
+        outcomes_ = runJobs(batch_.jobs(), 0);
     }
 
     static inline const paper::ClaimBatch batch_;
-    static inline std::vector<ExperimentOutcome> outcomes_;
+    static inline std::vector<Outcome> outcomes_;
 };
 
 TEST_P(Claim, Holds)

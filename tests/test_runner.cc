@@ -1,13 +1,13 @@
 /**
  * @file
- * Tests for the parallel experiment runner: deterministic seed
+ * Tests for the job executor's thread backend: deterministic seed
  * derivation, bit-identical serial/parallel results at several
- * thread counts, per-job error capture, and progress reporting.
+ * thread counts, per-job error capture, and the sweep builder's
+ * order. CI's ThreadSanitizer job runs this binary.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,23 +28,11 @@ constexpr std::uint64_t kCycles = 1'000'000;
 
 /** A small but representative sweep: a stalling benchmark and a
  * cool one under two configurations. */
-std::vector<ExperimentJob>
-sweepJobs()
+std::vector<Job>
+smallSweep(std::uint64_t base_seed)
 {
-    std::vector<ExperimentJob> jobs;
-    const std::vector<std::pair<std::string, SimConfig>> configs{
-        {"base", iqBase()}, {"toggling", iqToggling()}};
-    for (const auto& [tag, config] : configs) {
-        for (const char* bench : {"eon", "art"}) {
-            ExperimentJob job;
-            job.tag = tag;
-            job.benchmark = bench;
-            job.config = config;
-            job.cycles = kCycles;
-            jobs.push_back(job);
-        }
-    }
-    return jobs;
+    return sweepJobs({{"base", iqBase()}, {"toggling", iqToggling()}},
+                     {"eon", "art"}, kCycles, base_seed);
 }
 
 /** Bit-identical comparison (EXPECT_EQ on doubles is exact). */
@@ -112,25 +100,17 @@ TEST(DeriveRunSeed, GoldenValues)
 
 TEST(Runner, SerialAndParallelAreBitIdentical)
 {
-    const std::vector<ExperimentJob> jobs = sweepJobs();
-    const std::uint64_t base_seed = 7;
+    const std::vector<Job> jobs = smallSweep(7);
 
     // Serial reference: one job after another on this thread.
-    std::vector<ExperimentOutcome> serial;
-    for (const ExperimentJob& job : jobs)
-        serial.push_back(ExperimentRunner::runJob(job, base_seed));
-    for (const ExperimentOutcome& o : serial)
+    std::vector<Outcome> serial;
+    for (const Job& job : jobs)
+        serial.push_back(runJob(job));
+    for (const Outcome& o : serial)
         ASSERT_TRUE(o.ok) << o.error;
 
     for (const int threads : {1, 2, 8}) {
-        ExperimentRunner::Options options;
-        options.threads = threads;
-        options.baseSeed = base_seed;
-        ExperimentRunner runner(options);
-        for (const ExperimentJob& job : jobs)
-            runner.add(job);
-        const std::vector<ExperimentOutcome> parallel =
-            runner.run();
+        const std::vector<Outcome> parallel = runJobs(jobs, threads);
         ASSERT_EQ(parallel.size(), serial.size());
         for (std::size_t i = 0; i < serial.size(); ++i) {
             SCOPED_TRACE(testing::Message()
@@ -142,8 +122,8 @@ TEST(Runner, SerialAndParallelAreBitIdentical)
             EXPECT_EQ(parallel[i].benchmark,
                       serial[i].benchmark);
             EXPECT_EQ(parallel[i].seed, serial[i].seed);
-            expectIdentical(parallel[i].result,
-                            serial[i].result);
+            expectIdentical(parallel[i].result.cores.front(),
+                            serial[i].result.cores.front());
         }
     }
 }
@@ -151,38 +131,33 @@ TEST(Runner, SerialAndParallelAreBitIdentical)
 TEST(Runner, MatchesLegacySerialPathForSameSeed)
 {
     // runBenchmark with an explicitly derived seed is the serial
-    // path; the parallel runner must reproduce it bit for bit.
+    // path; the thread backend must reproduce it bit for bit.
     SimConfig config = iqBase();
     config.runSeed = deriveRunSeed(5, "gzip", "base");
     const SimResult serial = runBenchmark(config, "gzip", kCycles);
 
-    ExperimentRunner::Options options;
-    options.threads = 2;
-    options.baseSeed = 5;
-    ExperimentRunner runner(options);
-    runner.add("base", iqBase(), "gzip", kCycles);
-    const std::vector<ExperimentOutcome> out = runner.run();
+    const std::vector<Outcome> out =
+        runJobs(sweepJobs({{"base", iqBase()}}, {"gzip"}, kCycles, 5),
+                2);
     ASSERT_EQ(out.size(), 1u);
     ASSERT_TRUE(out[0].ok) << out[0].error;
-    expectIdentical(out[0].result, serial);
+    EXPECT_EQ(out[0].seed, config.runSeed);
+    expectIdentical(out[0].result.cores.front(), serial);
 }
 
 TEST(Runner, CapturesJobErrorsWithoutAbortingTheSweep)
 {
-    ExperimentRunner::Options options;
-    options.threads = 2;
-    ExperimentRunner runner(options);
-    runner.add("base", iqBase(), "nosuchbenchmark", 100'000);
-    runner.add("base",
-               baseConfig(FloorplanVariant::Baseline), "gzip",
-               100'000);
-    const std::vector<ExperimentOutcome> outcomes = runner.run();
+    const std::vector<Outcome> outcomes = runJobs(
+        {singleCoreJob("base", iqBase(), "nosuchbenchmark", 100'000),
+         singleCoreJob("base", baseConfig(FloorplanVariant::Baseline),
+                       "gzip", 100'000)},
+        2);
     ASSERT_EQ(outcomes.size(), 2u);
     EXPECT_FALSE(outcomes[0].ok);
     EXPECT_NE(outcomes[0].error.find("nosuchbenchmark"),
               std::string::npos);
     ASSERT_TRUE(outcomes[1].ok) << outcomes[1].error;
-    EXPECT_GT(outcomes[1].result.instructions, 0u);
+    EXPECT_GT(outcomes[1].result.cores.front().instructions, 0u);
 }
 
 TEST(Runner, RunBenchmarkRethrowsCapturedFatal)
@@ -191,39 +166,13 @@ TEST(Runner, RunBenchmarkRethrowsCapturedFatal)
                  FatalError);
 }
 
-TEST(Runner, ProgressCallbackSeesEveryCompletion)
+TEST(Runner, SweepJobsCoverTheCrossProductInSubmissionOrder)
 {
-    std::vector<std::string> seen; // serialized by the runner
-    std::size_t last_total = 0;
-    std::size_t max_done = 0;
-    ExperimentRunner::Options options;
-    options.threads = 4;
-    options.progress = [&](const ExperimentOutcome& o,
-                           std::size_t done, std::size_t total) {
-        seen.push_back(o.tag + "/" + o.benchmark);
-        last_total = total;
-        max_done = std::max(max_done, done);
-    };
-    ExperimentRunner runner(options);
-    const SimConfig config =
-        baseConfig(FloorplanVariant::Baseline);
-    for (const char* bench : {"gzip", "art", "mcf", "gcc"})
-        runner.add("base", config, bench, 100'000);
-    const std::vector<ExperimentOutcome> outcomes = runner.run();
-    ASSERT_EQ(outcomes.size(), 4u);
-    EXPECT_EQ(seen.size(), 4u);
-    EXPECT_EQ(last_total, 4u);
-    EXPECT_EQ(max_done, 4u);
-}
-
-TEST(Runner, RunSweepCoversTheCrossProductInSubmissionOrder)
-{
-    ExperimentRunner::Options options;
-    options.threads = 3;
-    const std::vector<ExperimentOutcome> outcomes = runSweep(
-        {{"a", baseConfig(FloorplanVariant::Baseline)},
-         {"b", iqBase()}},
-        {"gzip", "art"}, 100'000, options);
+    const std::vector<Outcome> outcomes = runJobs(
+        sweepJobs({{"a", baseConfig(FloorplanVariant::Baseline)},
+                   {"b", iqBase()}},
+                  {"gzip", "art"}, 100'000, 1),
+        3);
     ASSERT_EQ(outcomes.size(), 4u);
     EXPECT_EQ(outcomes[0].tag, "a");
     EXPECT_EQ(outcomes[0].benchmark, "gzip");
@@ -233,8 +182,10 @@ TEST(Runner, RunSweepCoversTheCrossProductInSubmissionOrder)
     EXPECT_EQ(outcomes[2].benchmark, "gzip");
     EXPECT_EQ(outcomes[3].tag, "b");
     EXPECT_EQ(outcomes[3].benchmark, "art");
-    for (const ExperimentOutcome& o : outcomes)
+    for (const Outcome& o : outcomes) {
         EXPECT_TRUE(o.ok) << o.error;
+        EXPECT_EQ(o.seed, deriveRunSeed(1, o.benchmark, o.tag));
+    }
 }
 
 } // namespace

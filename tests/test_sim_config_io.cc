@@ -4,12 +4,15 @@
  * consumers share it (tempest_run, tempest_serve, and the sweep
  * fabric): every key simConfigFromConfig() accepts must survive
  * render -> parse -> render unchanged, the defaults must keep
- * reproducing the experiment preset builders bit-for-bit, and
- * range validation must stay fatal.
+ * reproducing the experiment preset builders bit-for-bit, range
+ * validation must stay fatal, and configFromCmpConfig() must
+ * invert cmpConfigFromConfig() for every preset and scaling
+ * config (the process backend ships jobs that way).
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +20,8 @@
 #include "common/config.hh"
 #include "common/log.hh"
 #include "sim/experiment.hh"
+#include "sim/paper.hh"
+#include "sim/runner.hh"
 #include "sim/sim_config_io.hh"
 
 namespace tempest
@@ -54,35 +59,6 @@ allKeys()
     };
 }
 
-/** Field-by-field SimConfig comparison (no operator==). */
-void
-expectSameConfig(const SimConfig& a, const SimConfig& b)
-{
-    EXPECT_EQ(a.variant, b.variant);
-    EXPECT_EQ(a.thermal.timeScale, b.thermal.timeScale);
-    EXPECT_EQ(a.thermal.ambient, b.thermal.ambient);
-    EXPECT_EQ(a.thermal.rConvection, b.thermal.rConvection);
-    EXPECT_EQ(a.thermal.maxTemperature, b.thermal.maxTemperature);
-    EXPECT_EQ(a.thermal.solver, b.thermal.solver);
-    EXPECT_EQ(a.thermal.maxCachedPropagators,
-              b.thermal.maxCachedPropagators);
-    EXPECT_EQ(a.thermal.rStackBondPerArea,
-              b.thermal.rStackBondPerArea);
-    EXPECT_EQ(a.thermal.stackedDieThickness,
-              b.thermal.stackedDieThickness);
-    EXPECT_EQ(a.sampleIntervalCycles, b.sampleIntervalCycles);
-    EXPECT_EQ(a.warmStart, b.warmStart);
-    EXPECT_EQ(a.dtm.maxTemperature, b.dtm.maxTemperature);
-    EXPECT_EQ(a.dtm.iqToggling, b.dtm.iqToggling);
-    EXPECT_EQ(a.dtm.toggleDeltaK, b.dtm.toggleDeltaK);
-    EXPECT_EQ(a.dtm.aluTurnoff, b.dtm.aluTurnoff);
-    EXPECT_EQ(a.dtm.regfileTurnoff, b.dtm.regfileTurnoff);
-    EXPECT_EQ(a.dtm.roundRobin, b.dtm.roundRobin);
-    EXPECT_EQ(a.dtm.fetchThrottling, b.dtm.fetchThrottling);
-    EXPECT_EQ(a.dtm.coolingTime, b.dtm.coolingTime);
-    EXPECT_EQ(a.dtm.mapping, b.dtm.mapping);
-}
-
 TEST(SimConfigIo, EveryKeySurvivesRenderParseRender)
 {
     Config cfg;
@@ -96,8 +72,8 @@ TEST(SimConfigIo, EveryKeySurvivesRenderParseRender)
     EXPECT_EQ(back.render(), once);
 
     // And the re-parsed config still names the same simulation.
-    expectSameConfig(simConfigFromConfig(back),
-                     simConfigFromConfig(cfg));
+    EXPECT_TRUE(simConfigFromConfig(back) ==
+                simConfigFromConfig(cfg));
 }
 
 TEST(SimConfigIo, SampleListCoversEveryAcceptedKey)
@@ -160,12 +136,13 @@ TEST(SimConfigIo, SampleListCoversEveryAcceptedKey)
 
 TEST(SimConfigIo, DefaultsReproduceIqBase)
 {
-    // The empty config IS the neutral iqBase() preset — the
-    // property the fabric's paper-scale parity rests on.
+    // The empty config IS the neutral iqBase() preset, so a
+    // tempest_run or tempest_serve config names the paper's
+    // experiments by their differences from it.
     SimConfig expected = experiments::iqBase();
     SimConfig got = simConfigFromConfig(Config{});
     got.runSeed = expected.runSeed; // seed is not preset-defined
-    expectSameConfig(got, expected);
+    EXPECT_TRUE(got == expected);
 }
 
 TEST(SimConfigIo, DottedTogglingReproducesIqToggling)
@@ -175,7 +152,7 @@ TEST(SimConfigIo, DottedTogglingReproducesIqToggling)
     SimConfig expected = experiments::iqToggling();
     SimConfig got = simConfigFromConfig(cfg);
     got.runSeed = expected.runSeed;
-    expectSameConfig(got, expected);
+    EXPECT_TRUE(got == expected);
 }
 
 /** Every cmp.* / stack.* key with a non-default sample value. */
@@ -198,29 +175,6 @@ cmpKeys()
     };
 }
 
-/** Field-by-field CmpSimConfig comparison (base covered above). */
-void
-expectSameCmpConfig(const CmpSimConfig& a, const CmpSimConfig& b)
-{
-    expectSameConfig(a.base, b.base);
-    EXPECT_EQ(a.cores, b.cores);
-    EXPECT_EQ(a.sharedL2, b.sharedL2);
-    EXPECT_EQ(a.benchmarks, b.benchmarks);
-    EXPECT_EQ(a.migration.enabled, b.migration.enabled);
-    EXPECT_EQ(a.migration.marginK, b.migration.marginK);
-    EXPECT_EQ(a.migration.minGapK, b.migration.minGapK);
-    EXPECT_EQ(a.migration.cooldownIntervals,
-              b.migration.cooldownIntervals);
-    EXPECT_EQ(a.migration.baseStallCycles,
-              b.migration.baseStallCycles);
-    EXPECT_EQ(a.migration.busBytesPerCycle,
-              b.migration.busBytesPerCycle);
-    EXPECT_EQ(a.stack.dram, b.stack.dram);
-    EXPECT_EQ(a.stack.dramEnergyPerAccess,
-              b.stack.dramEnergyPerAccess);
-    EXPECT_EQ(a.stack.dramStaticW, b.stack.dramStaticW);
-}
-
 TEST(SimConfigIo, CmpKeysSurviveRenderParseRender)
 {
     Config cfg;
@@ -232,8 +186,8 @@ TEST(SimConfigIo, CmpKeysSurviveRenderParseRender)
     back.parseText(once);
     EXPECT_EQ(back.entries(), cfg.entries());
     EXPECT_EQ(back.render(), once);
-    expectSameCmpConfig(cmpConfigFromConfig(back),
-                        cmpConfigFromConfig(cfg));
+    EXPECT_TRUE(cmpConfigFromConfig(back) ==
+                cmpConfigFromConfig(cfg));
 }
 
 TEST(SimConfigIo, CmpSampleListCoversEveryAcceptedKey)
@@ -341,6 +295,87 @@ TEST(SimConfigIo, RangeValidationStaysFatal)
     Config bad_mapping;
     bad_mapping.set("dtm.mapping", "sideways");
     EXPECT_THROW(simConfigFromConfig(bad_mapping), FatalError);
+}
+
+/** cmpConfigFromConfig(configFromCmpConfig(c)), seed restored. */
+CmpSimConfig
+throughKeys(const CmpSimConfig& c)
+{
+    CmpSimConfig back = cmpConfigFromConfig(configFromCmpConfig(c));
+    back.base.runSeed = c.base.runSeed;
+    return back;
+}
+
+CmpSimConfig
+singleCore(const SimConfig& config)
+{
+    CmpSimConfig cmp;
+    cmp.base = config;
+    cmp.benchmarks = {"art"};
+    return cmp;
+}
+
+TEST(SimConfigIo, InverseRendersEveryKeyButTheSeed)
+{
+    std::set<std::string> expected;
+    for (const auto& [key, value] : allKeys())
+        expected.insert(key);
+    for (const auto& [key, value] : cmpKeys())
+        expected.insert(key);
+    expected.erase("run.seed");
+    const Config keys = configFromCmpConfig(CmpSimConfig{});
+    std::set<std::string> rendered;
+    for (const auto& [key, value] : keys.entries())
+        rendered.insert(key);
+    EXPECT_EQ(rendered, expected);
+}
+
+TEST(SimConfigIo, InverseRoundTripsEveryPresetAndScaleConfig)
+{
+    using namespace experiments;
+    std::vector<SimConfig> presets = {iqBase(), iqToggling(),
+                                      aluBase(), aluFineGrain(),
+                                      aluRoundRobin(), iqBase(0.125)};
+    for (const PortMapping mapping :
+         {PortMapping::Priority, PortMapping::Balanced,
+          PortMapping::CompletelyBalanced}) {
+        presets.push_back(regfileConfig(mapping, false));
+        presets.push_back(regfileConfig(mapping, true));
+    }
+    for (const FloorplanVariant variant :
+         {FloorplanVariant::Baseline, FloorplanVariant::IqConstrained,
+          FloorplanVariant::AluConstrained,
+          FloorplanVariant::RegfileConstrained})
+        presets.push_back(baseConfig(variant));
+    for (const auto& [tag, config] : paper::scaleConfigs())
+        presets.push_back(config);
+    for (SimConfig config : presets) {
+        // A derived seed >= 2^63, which run.seed cannot carry.
+        config.runSeed = deriveRunSeed(1, "art", "warmup");
+        const CmpSimConfig cmp = singleCore(config);
+        EXPECT_TRUE(throughKeys(cmp) == cmp);
+    }
+    for (const Job& job : paper::cmpScaleJobs(1000))
+        EXPECT_TRUE(throughKeys(job.config) == job.config) << job.tag;
+}
+
+TEST(SimConfigIo, InverseRoundTripsEveryNonDefaultKey)
+{
+    Config cfg;
+    for (const auto& [key, value] : allKeys())
+        cfg.set(key, value);
+    for (const auto& [key, value] : cmpKeys())
+        cfg.set(key, value);
+    const CmpSimConfig cmp = cmpConfigFromConfig(cfg);
+    EXPECT_TRUE(throughKeys(cmp) == cmp);
+}
+
+TEST(SimConfigIo, InverseCannotCarryAFieldWithoutAKey)
+{
+    CmpSimConfig cmp = singleCore(experiments::iqBase());
+    cmp.base.energy.iqLongCompaction =
+        EnergyParams::paperLongCompaction;
+    EXPECT_FALSE(throughKeys(cmp) == cmp);
 }
 
 } // namespace

@@ -20,10 +20,6 @@ Gates: >= 95% of lock mutations caught (the one tolerated survivor
 is the stopMutex_ acquisition in ServeDaemon::waitStopped, which
 guards a condition-variable handshake and no data — there is
 nothing for the checker to see), 100% of protocol mutations caught.
-
-src/sim/runner.cc is not a lock target: its two progress mutexes
-are function-locals serializing stdout writes, with no guarded
-members for a deletion to expose.
 """
 
 import os

@@ -1,19 +1,20 @@
 /**
  * @file
- * Sweeps: the paper's evaluation, and the sharded
- * multi-process sweep (DESIGN.md §15).
+ * Sweeps: the paper's evaluation, and the two scaling sweeps on
+ * threads or worker processes (DESIGN.md §8, §15, §16).
  *
  *   tempest_sweep --paper <section|claims|all> [cycles]
  *                 [--workers N] [--base-seed S]
  *   tempest_sweep --paper-scale [measure_cycles]
- *                 [--workers N] [--base-seed S]
- *                 [--spill-dir DIR] [--job-timeout SECONDS]
- *                 [--in-process]
+ *                 [--workers N] [--in-process]
+ *                 [--job-timeout SECONDS]
+ *                 [--base-seed S] [--spill-dir DIR]
  *   tempest_sweep --cmp-scale [cycles] [--workers N]
+ *                 [--in-process] [--job-timeout SECONDS]
  *   tempest_sweep --worker-fd N       (internal: worker mode)
  *
  * --paper runs sections and claims of the paper registry
- * (src/sim/paper.hh) as one batch on the in-process runner and
+ * (src/sim/paper.hh) as one job list on the thread backend and
  * prints Tables 4-6, Figures 6-8 and the ablations, then each
  * claim's checks as measured value against bound. A section is
  * one of table4, fig6, table5, fig7, table6, fig8,
@@ -27,30 +28,26 @@
  * 1 if any job or claim failed. Output does not depend on
  * --workers (default: all cores).
  *
- * --cmp-scale runs the CMP/3D scaling matrix: 1-, 2- and 4-core
- * dies, flat and with a stacked DRAM layer, cross-core migration
- * on for every multicore job. Jobs run on an in-process thread
- * pool (each is one independent lockstep CmpSimulator); rows end
- * in the job's hashCmpResult and the table ends in a sweep_hash
- * with the same merge-order chain as --paper-scale, so the
- * scheduled CI sweep can gate on one digest.
- *
- * --paper-scale runs the paper-scale DTM sweep (four IQ-floorplan
+ * --paper-scale runs the paper-scale DTM sweep: four IQ-floorplan
  * DTM variants x three benchmarks, each benchmark warmed once for
- * measure_cycles/10 cycles and every variant forked from that
- * snapshot) across a pool of worker *processes* coordinated by
- * src/sim/fabric. Workers are exec'd copies of this binary in
- * --worker-fd mode, so the sweep exercises the exact process
- * topology the fabric uses in CI.
+ * measure_cycles/10 cycles into a snapshot under --spill-dir (a
+ * private temporary directory by default) and every variant
+ * forked from it. --cmp-scale runs the CMP/3D scaling matrix:
+ * 1-, 2- and 4-core dies, flat and with a stacked DRAM layer,
+ * cross-core migration on for every multicore job.
  *
- * --in-process runs the identical job graph through the
- * single-process experiments::runWarmForkSweep instead — the
- * reference the fabric is gated against. Both paths print one row
- * per job (IPC, stall share, hottest block, DTM event counts)
- * ending in its result_hash, plus a final `sweep_hash` (FNV-1a
- * over the per-job hashes in merge order); bit-identity of the
- * two paths means the sweep_hash lines match at any worker count
- * and across any failure/recovery history.
+ * Both scaling sweeps run on --workers N (default 1) worker
+ * *processes* through src/sim/fabric — exec'd copies of this
+ * binary in --worker-fd mode, so the sweep exercises the exact
+ * process topology CI uses — or, with --in-process, on N threads.
+ * --job-timeout kills and re-queues a worker whose job runs
+ * longer (processes only). Each prints one row per job ending in
+ * its result_hash (hashSimResult of the single core for
+ * --paper-scale, hashCmpResult for --cmp-scale), plus a final
+ * `sweep_hash` (FNV-1a over the per-job hashes in merge order).
+ * Both backends run the same job list through the same job
+ * function, so the sweep_hash lines match at any worker count,
+ * on either backend, and across any failure/recovery history.
  */
 
 #include <algorithm>
@@ -61,49 +58,23 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <span>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
-#include "common/config.hh"
 #include "common/log.hh"
 #include "sim/checkpoint/stateio.hh"
-#include "sim/cmp/cmp_simulator.hh"
 #include "sim/experiment.hh"
 #include "sim/fabric/coordinator.hh"
 #include "sim/fabric/worker.hh"
 #include "sim/paper.hh"
 #include "sim/runner.hh"
-#include "sim/sim_config_io.hh"
 
 namespace
 {
 
 using namespace tempest;
-
-/** The paper-scale matrix in dotted config keys: the four
- * IQ-floorplan DTM variants (an empty config is iqBase(); see
- * sim_config_io defaults). */
-std::vector<std::pair<std::string, Config>>
-paperScaleConfigs()
-{
-    auto make = [](bool toggling, bool throttle) {
-        Config cfg;
-        if (toggling)
-            cfg.set("dtm.toggling", "true");
-        if (throttle)
-            cfg.set("dtm.fetch_throttling", "true");
-        return cfg;
-    };
-    return {
-        {"iq_base", make(false, false)},
-        {"iq_toggling", make(true, false)},
-        {"iq_throttle", make(false, true)},
-        {"iq_toggle_throttle", make(true, true)},
-    };
-}
 
 /** `text` as a whole decimal integer; false if it is not one. */
 bool
@@ -140,15 +111,17 @@ struct Options
 };
 
 /**
- * Parse argv[first..] for `mode`. --cmp-scale takes only
- * --workers; --paper also takes --base-seed; --paper-scale takes
- * every flag. Anything else is the positional cycle count.
+ * Parse argv[first..] for `mode`. Every mode takes --workers;
+ * --paper and --paper-scale take --base-seed; the scaling sweeps
+ * take --in-process and --job-timeout; --spill-dir is
+ * --paper-scale's alone. Any other flag is an error naming the
+ * mode, and anything else is the positional cycle count.
  */
 Options
-parseOptions(int argc, char** argv, int first, const char* mode)
+parseOptions(int argc, char** argv, int first, const std::string& mode)
 {
-    const bool cmp = std::strcmp(mode, "--cmp-scale") == 0;
-    const bool fabric = std::strcmp(mode, "--paper-scale") == 0;
+    const bool scale = mode != "--paper";
+    const bool paper_scale = mode == "--paper-scale";
     Options o;
     for (int i = first; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -164,14 +137,14 @@ parseOptions(int argc, char** argv, int first, const char* mode)
                 fatal("--workers: '", text,
                       "' is not a count >= 1");
             o.workers = static_cast<int>(v);
-        } else if (arg == "--base-seed" && !cmp) {
+        } else if (arg == "--base-seed" && (!scale || paper_scale)) {
             const char* text = value();
             if (!wholeNumber(text, o.baseSeed))
                 fatal("--base-seed: '", text,
                       "' is not a non-negative integer");
-        } else if (arg == "--spill-dir" && fabric) {
+        } else if (arg == "--spill-dir" && paper_scale) {
             o.spillDir = value();
-        } else if (arg == "--job-timeout" && fabric) {
+        } else if (arg == "--job-timeout" && scale) {
             const char* text = value();
             char* end = nullptr;
             errno = 0;
@@ -182,10 +155,12 @@ parseOptions(int argc, char** argv, int first, const char* mode)
                 !std::isfinite(o.jobTimeout))
                 fatal("--job-timeout: '", text,
                       "' is not a number of seconds >= 0");
-        } else if (arg == "--in-process" && fabric) {
+        } else if (arg == "--in-process" && scale) {
             o.inProcess = true;
+        } else if (arg.rfind("--", 0) == 0) {
+            fatal(mode, " does not take ", arg);
         } else {
-            o.cycles = parseCycles(argv[i], mode);
+            o.cycles = parseCycles(argv[i], mode.c_str());
         }
     }
     return o;
@@ -214,31 +189,28 @@ runPaper(const std::string& selector, const Options& o)
         fatal("--paper ", selector, ": the claims run at fixed "
               "cycle counts; name a section to set cycles");
 
-    // One batch: every chosen section's jobs, then the claims'.
-    ExperimentRunner::Options options;
-    options.threads = o.workers;
-    ExperimentRunner runner(options);
+    // One job list: every chosen section's jobs, then the
+    // claims'.
+    std::vector<Job> jobs;
     std::vector<std::size_t> first;
     const auto cycles = [&](const paper::Section* s) {
         return o.cycles ? o.cycles : s->cycles;
     };
     for (const paper::Section* s : chosen) {
-        first.push_back(runner.pending());
-        for (ExperimentJob& j :
-             paper::sectionJobs(*s, cycles(s), o.baseSeed))
-            runner.add(std::move(j));
+        first.push_back(jobs.size());
+        for (Job& j : paper::sectionJobs(*s, cycles(s), o.baseSeed))
+            jobs.push_back(std::move(j));
     }
-    first.push_back(runner.pending());
+    first.push_back(jobs.size());
     const paper::ClaimBatch claims;
-    if (with_claims) {
-        for (const ExperimentJob& j : claims.jobs())
-            runner.add(j);
-    }
-    const std::vector<ExperimentOutcome> outcomes = runner.run();
-    const std::span<const ExperimentOutcome> all_outcomes(outcomes);
+    if (with_claims)
+        jobs.insert(jobs.end(), claims.jobs().begin(),
+                    claims.jobs().end());
+    const std::vector<Outcome> outcomes = runJobs(jobs, o.workers);
+    const std::span<const Outcome> all_outcomes(outcomes);
 
     std::size_t failed_jobs = 0;
-    for (const ExperimentOutcome& out : outcomes) {
+    for (const Outcome& out : outcomes) {
         if (!out.ok) {
             ++failed_jobs;
             std::fprintf(stderr, "paper job %s/%s failed: %s\n",
@@ -251,7 +223,7 @@ runPaper(const std::string& selector, const Options& o)
         const auto slice =
             all_outcomes.subspan(first[i], first[i + 1] - first[i]);
         if (std::any_of(slice.begin(), slice.end(),
-                        [](const ExperimentOutcome& out) {
+                        [](const Outcome& out) {
                             return !out.ok;
                         })) {
             std::fprintf(stderr, "%s: not printed, a job failed\n",
@@ -295,219 +267,160 @@ runPaper(const std::string& selector, const Options& o)
     return failed_jobs || failed_claims ? 1 : 0;
 }
 
-/** Print the result table; @return (all ok, sweep hash). */
-std::pair<bool, std::uint64_t>
-report(const std::vector<ExperimentOutcome>& outcomes)
+/** Print a --paper-scale row; @return its result hash. */
+std::uint64_t
+printScaleRow(const Outcome& o)
 {
-    bool all_ok = true;
-    std::uint64_t sweep_hash = 0xcbf29ce484222325ULL;
-    std::printf("%-20s %-8s %6s %7s %-8s %7s %8s %8s %8s %7s  %s\n",
-                "config", "bench", "ipc", "stall%", "hot", "max_K",
-                "toggles", "throttl", "cycles_M", "wall_s",
-                "result_hash");
-    for (const ExperimentOutcome& o : outcomes) {
-        if (!o.ok) {
-            std::printf("%-20s %-8s FAILED: %s\n", o.tag.c_str(),
-                        o.benchmark.c_str(), o.error.c_str());
-            all_ok = false;
-            continue;
-        }
-        const SimResult& r = o.result;
-        const BlockTempStats& hot = *std::max_element(
-            r.blocks.begin(), r.blocks.end(),
-            [](const BlockTempStats& a, const BlockTempStats& b) {
-                return a.max < b.max;
-            });
-        const std::uint64_t h = experiments::hashSimResult(r);
-        std::printf("%-20s %-8s %6.3f %6.1f%% %-8s %7.2f %8llu "
-                    "%8llu %8.1f %7.2f  0x%016llx\n",
-                    o.tag.c_str(), o.benchmark.c_str(), r.ipc,
-                    100.0 * r.stallCycles / r.cycles,
-                    hot.name.c_str(), hot.max,
-                    static_cast<unsigned long long>(
-                        r.dtm.iqToggles),
-                    static_cast<unsigned long long>(
-                        r.dtm.fetchThrottleEvents),
-                    r.cycles / 1e6, o.wallSeconds,
-                    static_cast<unsigned long long>(h));
-        // Merge-order hash chain: any reordering, dropped shard,
-        // or bit difference changes the final digest.
-        sweep_hash = fnv1a64(&h, sizeof(h), sweep_hash);
-    }
-    return {all_ok, sweep_hash};
+    const SimResult& r = o.result.cores.front();
+    const BlockTempStats& hot = *std::max_element(
+        r.blocks.begin(), r.blocks.end(),
+        [](const BlockTempStats& a, const BlockTempStats& b) {
+            return a.max < b.max;
+        });
+    const std::uint64_t h = experiments::hashSimResult(r);
+    std::printf("%-20s %-8s %6.3f %6.1f%% %-8s %7.2f %8llu "
+                "%8llu %8.1f %7.2f  0x%016llx\n",
+                o.tag.c_str(), o.benchmark.c_str(), r.ipc,
+                100.0 * r.stallCycles / r.cycles,
+                hot.name.c_str(), hot.max,
+                static_cast<unsigned long long>(r.dtm.iqToggles),
+                static_cast<unsigned long long>(
+                    r.dtm.fetchThrottleEvents),
+                r.cycles / 1e6, o.wallSeconds,
+                static_cast<unsigned long long>(h));
+    return h;
 }
 
-/**
- * The CMP/3D scaling matrix: core count x {flat, stacked DRAM},
- * mixed SPEC2000 benchmarks (one per core, memory-bound first so
- * the 3D rows heat), migration on for every multicore die.
- */
-std::vector<CmpJob>
-cmpScaleJobs(std::uint64_t cycles)
+/** Print a --cmp-scale row; @return its result hash. */
+std::uint64_t
+printCmpRow(const Outcome& o)
 {
-    const std::vector<std::string> mix = {"art", "mesa", "eon",
-                                          "mcf"};
-    std::vector<CmpJob> jobs;
-    for (const int cores : {1, 2, 4}) {
-        for (const bool dram : {false, true}) {
-            CmpJob job;
-            job.tag = std::to_string(cores) + "core" +
-                      (dram ? "_3d" : "");
-            job.config.base = experiments::iqBase();
-            job.config.cores = cores;
-            job.config.benchmarks.assign(
-                mix.begin(), mix.begin() + cores);
-            job.config.migration.enabled = cores > 1;
-            job.config.stack.dram = dram;
-            job.cycles = cycles;
-            jobs.push_back(std::move(job));
-        }
-    }
-    return jobs;
-}
-
-int
-runCmpScale(std::uint64_t cycles, int threads)
-{
-    const std::vector<CmpJob> jobs = cmpScaleJobs(cycles);
-    std::printf("cmp-scale sweep: %zu jobs (1/2/4 cores x "
-                "flat/3d), %llu cycles per job, %d thread%s\n",
-                jobs.size(),
-                static_cast<unsigned long long>(cycles), threads,
-                threads == 1 ? "" : "s");
-
-    const auto start = std::chrono::steady_clock::now();
-    const std::vector<CmpJobOutcome> outcomes =
-        runCmpJobs(jobs, threads);
-    const double wall =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-
-    std::uint64_t sweep_hash = 0xcbf29ce484222325ULL;
-    std::printf("%-10s %6s %7s %7s %6s %8s %7s  %s\n", "job",
-                "ipc", "max_K", "stalls", "migr", "cycles_M",
-                "wall_s", "result_hash");
-    for (const CmpJobOutcome& o : outcomes) {
-        double ipc = 0.0;
-        Kelvin max_t = 0.0;
-        std::uint64_t stalls = 0;
-        for (const SimResult& c : o.result.cores) {
-            ipc += c.ipc;
-            stalls += c.dtm.globalStalls;
-            for (const BlockTempStats& b : c.blocks)
-                max_t = std::max(max_t, b.max);
-        }
-        for (const BlockTempStats& b : o.result.shared)
+    double ipc = 0.0;
+    Kelvin max_t = 0.0;
+    std::uint64_t stalls = 0;
+    for (const SimResult& c : o.result.cores) {
+        ipc += c.ipc;
+        stalls += c.dtm.globalStalls;
+        for (const BlockTempStats& b : c.blocks)
             max_t = std::max(max_t, b.max);
-        std::printf("%-10s %6.3f %7.2f %7llu %6llu %8.1f %7.2f  "
-                    "0x%016llx\n",
-                    o.tag.c_str(), ipc, max_t,
-                    static_cast<unsigned long long>(stalls),
-                    static_cast<unsigned long long>(
-                        o.result.migration.migrations),
-                    o.result.cycles / 1e6, o.wallSeconds,
-                    static_cast<unsigned long long>(o.hash));
-        sweep_hash =
-            fnv1a64(&o.hash, sizeof(o.hash), sweep_hash);
     }
-    std::printf("%zu jobs in %.1f s wall\n", outcomes.size(),
-                wall);
-    std::printf("sweep_hash 0x%016llx\n",
-                static_cast<unsigned long long>(sweep_hash));
-    return 0;
+    for (const BlockTempStats& b : o.result.shared)
+        max_t = std::max(max_t, b.max);
+    const std::uint64_t h = hashCmpResult(o.result);
+    std::printf("%-10s %6.3f %7.2f %7llu %6llu %8.1f %7.2f  "
+                "0x%016llx\n",
+                o.tag.c_str(), ipc, max_t,
+                static_cast<unsigned long long>(stalls),
+                static_cast<unsigned long long>(
+                    o.result.migration.migrations),
+                o.result.cycles / 1e6, o.wallSeconds,
+                static_cast<unsigned long long>(h));
+    return h;
 }
 
 /**
- * The paper-scale sweep through the fabric (or, --in-process,
- * through runWarmForkSweep); `self` is this binary, exec'd as
- * the workers. @return 0 if every job succeeded.
+ * --paper-scale or --cmp-scale (`mode`) on the backend `o` picks;
+ * `self` is this binary, exec'd as the workers. Prints one row
+ * per job (warm-ups aside) and the sweep_hash. @return 0 if every
+ * job succeeded.
  */
 int
-runPaperScale(const Options& o, const char* self)
+runScale(const std::string& mode, const Options& o, const char* self)
 {
-    const std::uint64_t measure_cycles =
-        o.cycles ? o.cycles : 100'000'000;
+    const bool cmp = mode == "--cmp-scale";
     const int workers = o.workers ? o.workers : 1;
-
-    // The fabric ships warm snapshots by file path; give it a
-    // private spill directory when the caller didn't.
-    std::string spill_dir = o.spillDir;
-    char made_dir[] = "/tmp/tempest_sweep_XXXXXX";
-    bool own_spill = false;
-    if (spill_dir.empty() && !o.inProcess) {
-        if (!mkdtemp(made_dir))
-            fatal("cannot create spill dir: errno ", errno);
-        spill_dir = made_dir;
-        own_spill = true;
-    }
-
-    fabric::SweepSpec spec;
-    spec.configs = paperScaleConfigs();
-    spec.benchmarks = {"art", "facerec", "mesa"};
-    spec.measureCycles = measure_cycles;
-    fabric::WarmSpec warm;
-    // warmConfig left empty: the dotted-key default IS the
-    // neutral iqBase() warm-up.
-    warm.warmupCycles = measure_cycles / 10;
-
     const std::string pool =
-        o.inProcess ? "in-process"
-                    : std::to_string(workers) + " worker process(es)";
-    std::printf("paper-scale sweep: %zu configs x %zu "
-                "benchmarks, %llu warm-up + %llu measure "
-                "cycles per job, %s\n",
-                spec.configs.size(), spec.benchmarks.size(),
-                static_cast<unsigned long long>(warm.warmupCycles),
-                static_cast<unsigned long long>(measure_cycles),
-                pool.c_str());
+        std::to_string(workers) +
+        (o.inProcess ? " thread(s)" : " worker process(es)");
 
-    // det:allow is a src/-only lint rule, but keep the idiom:
-    // wall time here is reporting only.
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<ExperimentOutcome> outcomes;
-    if (o.inProcess) {
-        std::vector<std::pair<std::string, SimConfig>> configs;
-        configs.reserve(spec.configs.size());
-        for (const auto& [tag, cfg] : spec.configs)
-            configs.emplace_back(tag, simConfigFromConfig(cfg));
-        experiments::WarmForkOptions wf;
-        wf.warmConfig = simConfigFromConfig(warm.warmConfig);
-        wf.warmupCycles = warm.warmupCycles;
-        wf.warmTag = warm.warmTag;
-        wf.spillDir = spill_dir;
-        ExperimentRunner::Options options;
-        options.threads = workers;
-        options.baseSeed = o.baseSeed;
-        outcomes = experiments::runWarmForkSweep(
-            configs, spec.benchmarks, measure_cycles, wf, options);
+    std::optional<experiments::SpillDir> own_spill;
+    std::vector<Job> jobs;
+    if (cmp) {
+        const std::uint64_t cycles = o.cycles ? o.cycles : 10'000'000;
+        jobs = paper::cmpScaleJobs(cycles);
+        std::printf("cmp-scale sweep: %zu jobs (1/2/4 cores x "
+                    "flat/3d), %llu cycles per job, %s\n",
+                    jobs.size(),
+                    static_cast<unsigned long long>(cycles),
+                    pool.c_str());
     } else {
-        fabric::FabricOptions options;
-        options.workers = workers;
-        options.baseSeed = o.baseSeed;
-        options.spillDir = spill_dir;
-        options.workerCommand = {self};
-        options.jobTimeoutSeconds = o.jobTimeout;
-        options.onEvent = [](const std::string& msg) {
-            std::fprintf(stderr, "fabric: %s\n", msg.c_str());
-        };
-        fabric::FabricCoordinator coordinator(options);
-        outcomes = coordinator.runWarmForkSweep(spec, warm);
+        const std::uint64_t measure =
+            o.cycles ? o.cycles : 100'000'000;
+        const auto configs = paper::scaleConfigs();
+        const std::vector<std::string> benchmarks = {"art", "facerec",
+                                                     "mesa"};
+        const std::string spill_dir =
+            o.spillDir.empty() ? own_spill.emplace().path()
+                               : o.spillDir;
+        // The neutral warm-up is iqBase(): every variant with its
+        // techniques off.
+        jobs = experiments::warmForkJobs(
+            configs, benchmarks, experiments::iqBase(),
+            measure / 10, measure, o.baseSeed, spill_dir);
+        std::printf("paper-scale sweep: %zu configs x %zu "
+                    "benchmarks, %llu warm-up + %llu measure "
+                    "cycles per job, %s\n",
+                    configs.size(), benchmarks.size(),
+                    static_cast<unsigned long long>(measure / 10),
+                    static_cast<unsigned long long>(measure),
+                    pool.c_str());
     }
+
+    fabric::FabricOptions options;
+    options.workers = workers;
+    options.workerCommand = {self};
+    options.jobTimeoutSeconds = o.jobTimeout;
+    options.onEvent = [](const std::string& msg) {
+        std::fprintf(stderr, "fabric: %s\n", msg.c_str());
+    };
+    fabric::FabricCoordinator coordinator(options);
+    const Backend backend = [&](const std::vector<Job>& batch) {
+        return o.inProcess ? runJobs(batch, workers)
+                           : coordinator.runJobs(batch);
+    };
+
+    // Wall time here is reporting only.
+    const auto start = std::chrono::steady_clock::now();
+    const std::vector<Outcome> outcomes =
+        experiments::runWarmFork(jobs, backend);
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();
 
-    const auto [all_ok, sweep_hash] = report(outcomes);
-    std::printf("%zu jobs in %.1f s wall\n", outcomes.size(), wall);
+    if (cmp) {
+        std::printf("%-10s %6s %7s %7s %6s %8s %7s  %s\n", "job",
+                    "ipc", "max_K", "stalls", "migr", "cycles_M",
+                    "wall_s", "result_hash");
+    } else {
+        std::printf("%-20s %-8s %6s %7s %-8s %7s %8s %8s %8s %7s  "
+                    "%s\n",
+                    "config", "bench", "ipc", "stall%", "hot",
+                    "max_K", "toggles", "throttl", "cycles_M",
+                    "wall_s", "result_hash");
+    }
+    bool all_ok = true;
+    std::size_t rows = 0;
+    std::uint64_t sweep_hash = 0xcbf29ce484222325ULL;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (jobs[i].warm)
+            continue;
+        ++rows;
+        const Outcome& out = outcomes[i];
+        if (!out.ok) {
+            std::printf("%-20s %-8s FAILED: %s\n", out.tag.c_str(),
+                        out.benchmark.c_str(), out.error.c_str());
+            all_ok = false;
+            continue;
+        }
+        const std::uint64_t h =
+            cmp ? printCmpRow(out) : printScaleRow(out);
+        // Merge-order hash chain: any reordering, dropped shard,
+        // or bit difference changes the final digest.
+        sweep_hash = fnv1a64(&h, sizeof(h), sweep_hash);
+    }
+    std::printf("%zu jobs in %.1f s wall\n", rows, wall);
     std::printf("sweep_hash 0x%016llx\n",
                 static_cast<unsigned long long>(sweep_hash));
-
-    if (own_spill) {
-        for (const std::string& b : spec.benchmarks)
-            ::unlink((spill_dir + "/warm_" + b + ".ckpt").c_str());
-        ::rmdir(spill_dir.c_str());
-    }
     return all_ok ? 0 : 1;
 }
 
@@ -524,47 +437,39 @@ main(int argc, char** argv)
             "usage: tempest_sweep --paper <section|claims|all> "
             "[cycles] [--workers N] [--base-seed S]\n"
             "       tempest_sweep --paper-scale [measure_cycles] "
-            "[--workers N] [--base-seed S] [--spill-dir DIR] "
-            "[--job-timeout SECONDS] [--in-process]\n"
+            "[--workers N] [--in-process] [--job-timeout SECONDS] "
+            "[--base-seed S] [--spill-dir DIR]\n"
             "       tempest_sweep --cmp-scale [cycles] "
-            "[--workers N]\n"
+            "[--workers N] [--in-process] [--job-timeout SECONDS]\n"
             "       tempest_sweep --worker-fd N\n");
         return 2;
     }
 
-    const char* mode = argv[1];
-    if (std::strcmp(mode, "--worker-fd") == 0) {
-        if (argc < 3) {
+    const std::string mode = argv[1];
+    if (mode == "--worker-fd") {
+        std::uint64_t fd = 0;
+        if (argc < 3 || !wholeNumber(argv[2], fd) || fd > INT_MAX) {
             std::fprintf(stderr,
-                         "--worker-fd needs a descriptor\n");
+                         "--worker-fd: '%s' is not a descriptor\n",
+                         argc < 3 ? "" : argv[2]);
             return 2;
         }
-        const int fd = std::atoi(argv[2]);
-        if (fd < 0) {
-            std::fprintf(stderr, "bad worker fd '%s'\n", argv[2]);
-            return 2;
-        }
-        return fabric::workerMain(fd);
+        return fabric::workerMain(static_cast<int>(fd));
     }
 
     try {
-        if (std::strcmp(mode, "--paper") == 0) {
+        if (mode == "--paper") {
             if (argc < 3)
                 fatal("--paper needs a section, claims or all");
             return runPaper(argv[2],
                             parseOptions(argc, argv, 3, mode));
         }
-        if (std::strcmp(mode, "--cmp-scale") == 0) {
-            const Options o = parseOptions(argc, argv, 2, mode);
-            return runCmpScale(o.cycles ? o.cycles : 10'000'000,
-                               o.workers ? o.workers : 1);
-        }
-        if (std::strcmp(mode, "--paper-scale") == 0)
-            return runPaperScale(parseOptions(argc, argv, 2, mode),
-                                 argv[0]);
+        if (mode == "--paper-scale" || mode == "--cmp-scale")
+            return runScale(mode, parseOptions(argc, argv, 2, mode),
+                            argv[0]);
     } catch (const tempest::FatalError&) {
         return 1;
     }
-    std::fprintf(stderr, "unknown mode '%s'\n", mode);
+    std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());
     return 2;
 }

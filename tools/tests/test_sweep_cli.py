@@ -11,7 +11,15 @@ Flag parsing: three bugs, all of the silently-wrong variety:
     (which turns the deadline off), "5s" became 5 and "nan" slipped
     past the >= 0 check.
 
-Each bad value must now fail with the flag named.
+Each bad value must now fail with the flag named. So must a bad
+--worker-fd, which went through atoi: "abc" ran the worker loop on
+descriptor 0 and "3x" on descriptor 3, exiting 1 without a word. A
+flag the mode does not take was reported as a bad cycle count
+("'--base-seed' is not a valid cycle count" for --cmp-scale); it
+must be reported as exactly that.
+
+Backends: --cmp-scale prints the same sweep_hash on threads
+(--in-process) and on worker processes.
 
 Smoke: every --paper section except the claims runs at
 100000 cycles with --workers 1 and --workers 4; each run exits 0
@@ -38,7 +46,15 @@ def check(ok, message):
 
 def run(binary, *args):
     return subprocess.run([binary, *args], capture_output=True,
-                          text=True, timeout=600)
+                          stdin=subprocess.DEVNULL, text=True,
+                          timeout=600)
+
+
+def sweep_hash(result):
+    for line in result.stdout.splitlines():
+        if line.startswith("sweep_hash "):
+            return line.split()[1]
+    return None
 
 
 def main():
@@ -59,6 +75,36 @@ def main():
         check(r.returncode != 0 and flag in r.stderr,
               f"{flag} {bad!r} is rejected naming the flag "
               f"(exit {r.returncode})")
+
+    for bad in ("abc", "3x", "-1"):
+        r = run(binary, "--worker-fd", bad)
+        check(r.returncode != 0 and "--worker-fd" in r.stderr,
+              f"--worker-fd {bad!r} is rejected naming the flag "
+              f"(exit {r.returncode})")
+
+    for args, flag in ((("--cmp-scale", "100000", "--base-seed", "3"),
+                        "--base-seed"),
+                       (("--cmp-scale", "--spill-dir", "/tmp"),
+                        "--spill-dir"),
+                       (("--paper", "fig6", "--in-process"),
+                        "--in-process"),
+                       (("--paper", "fig6", "--job-timeout", "5"),
+                        "--job-timeout")):
+        r = run(binary, *args)
+        expected = f"{args[0]} does not take {flag}"
+        check(r.returncode != 0 and expected in r.stderr,
+              f"{' '.join(args)} reports '{expected}' "
+              f"(exit {r.returncode})")
+
+    threads = run(binary, "--cmp-scale", "20000", "--in-process",
+                  "--workers", "2")
+    procs = run(binary, "--cmp-scale", "20000", "--workers", "2")
+    check(threads.returncode == 0 and procs.returncode == 0
+          and sweep_hash(threads) is not None
+          and sweep_hash(threads) == sweep_hash(procs),
+          f"--cmp-scale sweep_hash on threads "
+          f"({sweep_hash(threads)}) equals worker processes "
+          f"({sweep_hash(procs)})")
 
     r = run(binary, "--paper", "claims", "100000")
     check(r.returncode != 0 and "cycle counts" in r.stderr,
