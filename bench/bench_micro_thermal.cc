@@ -1,6 +1,6 @@
 /**
  * @file
- * Microbenchmarks for the thermal solvers: per-interval transient
+ * Microbenchmarks for the thermal solver: per-interval transient
  * stepping cost and the dense steady-state solve.
  */
 

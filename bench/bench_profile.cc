@@ -2,8 +2,8 @@
  * @file
  * Per-stage time attribution harness.
  *
- * Runs a representative sweep (the wallclock bench's IQ base +
- * toggling configs over three benchmarks) and prints the profiler
+ * Runs a representative sweep (Table 4's IQ base + toggling
+ * configs over art, facerec and mesa) and prints the profiler
  * breakdown: which pipeline stage or interval-level model the
  * simulator spends its time in. Requires a build configured with
  * -DTEMPEST_PROFILE=ON; otherwise it explains how to get one and

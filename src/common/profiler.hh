@@ -2,8 +2,9 @@
  * @file
  * Per-stage cycle profiler, compiled out unless TEMPEST_PROFILE=1.
  *
- * Wall-clock benchmarks (bench_wallclock) say how fast the whole
- * simulator runs; this says where the time goes. Each pipeline
+ * The benchmark (perfbench, A/B'd by tools/record_bench.py) says
+ * how fast the whole simulator runs; this says where the time goes
+ * inside the core's tick. Each pipeline
  * stage (fetch/dispatch/issue/writeback/compact/commit) and each
  * interval-level model (power/thermal/sensor/DTM) is wrapped in a
  * scoped timer that accumulates TSC ticks into a process-global

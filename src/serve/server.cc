@@ -13,7 +13,6 @@
 #include "sim/experiment.hh"
 #include "sim/runner.hh"
 #include "sim/sim_config_io.hh"
-#include "workload/profile.hh"
 
 namespace tempest
 {
@@ -638,8 +637,9 @@ ServeDaemon::computeJob(const Job& job)
                 config, req.benchmark, req.seed, *snap,
                 req.cycles);
         } else {
-            Simulator sim(config, spec2000(req.benchmark));
-            result = sim.run(req.cycles);
+            // One runJob job, like every other simulation.
+            result = experiments::runBenchmark(config, req.benchmark,
+                                               req.cycles);
         }
         hash = experiments::hashSimResult(result);
         payload["benchmark"] = Json(result.benchmark);

@@ -144,6 +144,22 @@ CmpSimulator::CmpSimulator(
     config_.base.pipeline.validate();
     config_.base.thermal.validate();
 
+    // The cooling time scales with the thermal time compression.
+    // Checked in floating point: a count below one cycle makes the
+    // stop-go fallback a no-op, and a negative or non-finite count,
+    // or one past 2^64, has no defined conversion.
+    const double cooling_cycles = config_.base.dtm.coolingTime *
+                                  config_.base.thermal.timeScale *
+                                  config_.base.pipeline.frequencyHz;
+    if (!(cooling_cycles >= 1.0 && cooling_cycles < 0x1p64)) {
+        fatal("dtm.cooling_time ", config_.base.dtm.coolingTime,
+              " s is ", cooling_cycles,
+              " stall cycles at thermal.time_scale ",
+              config_.base.thermal.timeScale,
+              "; it must be 1 to 2^64 cycles");
+    }
+    coolingCycles_ = static_cast<std::uint64_t>(cooling_cycles);
+
     // One profile is replicated across cores.
     if (config_.benchmarks.size() == 1 && config_.cores > 1) {
         config_.benchmarks.assign(
@@ -204,12 +220,6 @@ CmpSimulator::CmpSimulator(
         tileOfJob_[static_cast<std::size_t>(j)] = j;
         jobOfTile_[static_cast<std::size_t>(j)] = j;
     }
-
-    // The cooling time scales with the thermal time compression.
-    const Seconds cooling = config_.base.dtm.coolingTime *
-                            config_.base.thermal.timeScale;
-    coolingCycles_ = static_cast<std::uint64_t>(
-        cooling * config_.base.pipeline.frequencyHz);
 
     sharedAccum_.resize(static_cast<std::size_t>(
         plan_.numBlocks() - tiles_end));

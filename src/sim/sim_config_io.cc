@@ -1,10 +1,56 @@
 #include "sim/sim_config_io.hh"
 
+#include <algorithm>
+#include <span>
+#include <string_view>
+
 #include "common/log.hh"
 #include "uarch/regfile.hh"
 
 namespace tempest
 {
+
+namespace
+{
+
+/** Every key readSimConfig() reads. */
+constexpr std::string_view kSimKeys[] = {
+    "floorplan.variant", "thermal.time_scale", "thermal.ambient",
+    "thermal.convection", "thermal.max_cached_propagators",
+    "thermal.r_stack_bond", "thermal.stacked_die_thickness",
+    "sim.sample_interval", "sim.warm_start", "run.seed",
+    "dtm.max_temperature", "dtm.toggling", "dtm.toggle_delta",
+    "dtm.alu_turnoff", "dtm.regfile_turnoff", "dtm.round_robin",
+    "dtm.fetch_throttling", "dtm.cooling_time", "dtm.mapping",
+};
+
+/** The keys cmpConfigFromConfig() reads on top of kSimKeys. */
+constexpr std::string_view kCmpKeys[] = {
+    "run.benchmark", "cmp.cores", "cmp.l2", "cmp.benchmarks",
+    "cmp.migration.enabled", "cmp.migration.margin",
+    "cmp.migration.min_gap", "cmp.migration.cooldown_intervals",
+    "cmp.migration.stall_cycles", "cmp.migration.bytes_per_cycle",
+    "stack.dram", "stack.dram_energy_per_access",
+    "stack.dram_static_w",
+};
+
+/** fatal() naming the first key of `cfg` that no list holds. */
+void
+rejectUnknownKeys(const Config& cfg,
+                  std::initializer_list<std::span<const std::string_view>>
+                      lists)
+{
+    for (const auto& [key, value] : cfg.entries()) {
+        bool known = false;
+        for (const auto keys : lists)
+            known = known || std::find(keys.begin(), keys.end(), key) !=
+                                 keys.end();
+        if (!known)
+            fatal("unknown config key '", key, "'");
+    }
+}
+
+} // namespace
 
 FloorplanVariant
 parseFloorplanVariant(const std::string& name)
@@ -21,16 +67,6 @@ parseFloorplanVariant(const std::string& name)
           "' (baseline|iq|alu|regfile)");
 }
 
-ThermalSolver
-parseThermalSolver(const std::string& name)
-{
-    if (name == "expm")
-        return ThermalSolver::Expm;
-    if (name == "euler")
-        return ThermalSolver::Euler;
-    fatal("unknown thermal solver '", name, "' (expm|euler)");
-}
-
 PortMapping
 parsePortMapping(const std::string& name)
 {
@@ -43,8 +79,12 @@ parsePortMapping(const std::string& name)
     fatal("unknown mapping '", name, "'");
 }
 
+namespace
+{
+
+/** simConfigFromConfig() without the unknown-key check. */
 SimConfig
-simConfigFromConfig(const Config& cfg)
+readSimConfig(const Config& cfg)
 {
     SimConfig sim;
     sim.variant = parseFloorplanVariant(
@@ -55,8 +95,6 @@ simConfigFromConfig(const Config& cfg)
         cfg.getDouble("thermal.ambient", sim.thermal.ambient);
     sim.thermal.rConvection = cfg.getDouble(
         "thermal.convection", sim.thermal.rConvection);
-    sim.thermal.solver = parseThermalSolver(
-        cfg.getString("thermal.solver", "expm"));
     const std::int64_t max_cached = cfg.getInt(
         "thermal.max_cached_propagators",
         sim.thermal.maxCachedPropagators);
@@ -104,9 +142,6 @@ simConfigFromConfig(const Config& cfg)
     return sim;
 }
 
-namespace
-{
-
 const char*
 variantKey(FloorplanVariant variant)
 {
@@ -117,12 +152,6 @@ variantKey(FloorplanVariant variant)
       case FloorplanVariant::RegfileConstrained: return "regfile";
     }
     return "invalid";
-}
-
-const char*
-solverKey(ThermalSolver solver)
-{
-    return solver == ThermalSolver::Euler ? "euler" : "expm";
 }
 
 /** Split a comma-separated list, trimming surrounding spaces. */
@@ -150,11 +179,20 @@ splitList(const std::string& s)
 
 } // namespace
 
-CmpSimConfig
-cmpConfigFromConfig(const Config& cfg)
+SimConfig
+simConfigFromConfig(const Config& cfg)
 {
+    rejectUnknownKeys(cfg, {kSimKeys});
+    return readSimConfig(cfg);
+}
+
+CmpSimConfig
+cmpConfigFromConfig(const Config& cfg,
+                    std::initializer_list<std::string_view> callerKeys)
+{
+    rejectUnknownKeys(cfg, {kSimKeys, kCmpKeys, callerKeys});
     CmpSimConfig cmp;
-    cmp.base = simConfigFromConfig(cfg);
+    cmp.base = readSimConfig(cfg);
 
     const std::int64_t cores = cfg.getInt("cmp.cores", 1);
     if (cores < 1 || cores > 8)
@@ -219,7 +257,6 @@ configFromCmpConfig(const CmpSimConfig& cmp)
     cfg.setDouble("thermal.time_scale", sim.thermal.timeScale);
     cfg.setDouble("thermal.ambient", sim.thermal.ambient);
     cfg.setDouble("thermal.convection", sim.thermal.rConvection);
-    cfg.set("thermal.solver", solverKey(sim.thermal.solver));
     cfg.setInt("thermal.max_cached_propagators",
                sim.thermal.maxCachedPropagators);
     cfg.setDouble("thermal.r_stack_bond",

@@ -14,12 +14,13 @@
  *              mapping = priority|balanced|completely-balanced,
  *              max_temperature, toggle_delta, cooling_time
  *   [thermal]  time_scale, ambient, convection,
- *              solver = expm|euler, max_cached_propagators,
- *              r_stack_bond, stacked_die_thickness
+ *              max_cached_propagators, r_stack_bond,
+ *              stacked_die_thickness
  *   [sim]      sample_interval, warm_start
  *
  * The CMP layer adds (cmpConfigFromConfig):
  *
+ *   [run]      benchmark (the default cmp.benchmarks)
  *   [cmp]      cores, l2, benchmarks (comma-separated, one entry
  *              replicated across cores)
  *   [cmp.migration] enabled, margin, min_gap, cooldown_intervals,
@@ -28,13 +29,17 @@
  *
  * Invalid values are fatal() (user error), including the
  * non-positive sample_interval that would otherwise wrap through
- * uint64_t and hang the interval loop.
+ * uint64_t and hang the interval loop. So is any key a reader does
+ * not apply, naming it: a misspelled key would otherwise take its
+ * default silently and run another simulation than the one named.
  */
 
 #ifndef TEMPEST_SIM_SIM_CONFIG_IO_HH
 #define TEMPEST_SIM_SIM_CONFIG_IO_HH
 
+#include <initializer_list>
 #include <string>
+#include <string_view>
 
 #include "common/config.hh"
 #include "sim/cmp/cmp_simulator.hh"
@@ -46,9 +51,6 @@ namespace tempest
 /** Parse a floorplan variant name; fatal on unknown names. */
 FloorplanVariant parseFloorplanVariant(const std::string& name);
 
-/** Parse a thermal solver name; fatal on unknown names. */
-ThermalSolver parseThermalSolver(const std::string& name);
-
 /** Parse a register-port mapping name; fatal on unknown names. */
 PortMapping parsePortMapping(const std::string& name);
 
@@ -56,7 +58,8 @@ PortMapping parsePortMapping(const std::string& name);
  * Build a SimConfig from dotted config keys (missing keys take the
  * documented defaults). Validates ranges that would otherwise wrap
  * through unsigned conversions: sample_interval and seed must be
- * non-negative, sample_interval must be positive.
+ * non-negative, sample_interval must be positive. fatal() on any
+ * key outside the single-core list above.
  */
 SimConfig simConfigFromConfig(const Config& cfg);
 
@@ -66,9 +69,12 @@ SimConfig simConfigFromConfig(const Config& cfg);
  * stack.* keys. cmp.benchmarks defaults to run.benchmark (itself
  * defaulting to "eon") on every core. With cmp.cores = 1 and
  * stack.dram = false the result names exactly the single-core
- * simulation of the same keys.
+ * simulation of the same keys. fatal() on any key outside both
+ * lists above and `callerKeys`, the keys the caller reads itself.
  */
-CmpSimConfig cmpConfigFromConfig(const Config& cfg);
+CmpSimConfig cmpConfigFromConfig(
+    const Config& cfg,
+    std::initializer_list<std::string_view> callerKeys = {});
 
 /**
  * The inverse of cmpConfigFromConfig(): every key but run.seed,

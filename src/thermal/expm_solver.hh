@@ -96,6 +96,16 @@ class ExpmSolver
         return cache_.size() * propagatorBytes();
     }
 
+    /** The system as assembled, for reference integrators in
+     * tests: A = -C^{-1} G (n x n, row-major), C, and the
+     * constant heat inflow, so dT/dt = A T + (u + q) / C. */
+    const std::vector<double>& generator() const { return negGOverC_; }
+    const std::vector<double>& capacitance() const
+    {
+        return capacitance_;
+    }
+    const std::vector<double>& constHeat() const { return constHeat_; }
+
     /**
      * Dense matrix exponential of an n x n matrix (row-major) by
      * scaling-and-squaring with a Taylor core. Exposed for tests.

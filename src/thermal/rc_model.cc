@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 
 #include "common/log.hh"
@@ -48,12 +47,20 @@ RcModel::RcModel(const Floorplan& floorplan,
     sinkNode_ = numBlocks_ + 1;
     numNodes_ = numBlocks_ + 2;
 
-    capacitance_.assign(static_cast<std::size_t>(numNodes_), 0.0);
+    // The network: per-node capacitance and conductance edges,
+    // assembled here into the solver's dense G and C.
+    struct Edge
+    {
+        int a;
+        int b;
+        double conductance; ///< W/K
+    };
+    std::vector<Edge> edges;
+    std::vector<double> capacitance(
+        static_cast<std::size_t>(numNodes_), 0.0); ///< J/K per node
     temp_.assign(static_cast<std::size_t>(numNodes_),
                  params_.ambient);
     power_.assign(static_cast<std::size_t>(numBlocks_), 0.0);
-    nodeGtotal_.assign(static_cast<std::size_t>(numNodes_), 0.0);
-    flux_.assign(static_cast<std::size_t>(numNodes_), 0.0);
 
     // Block nodes: capacitance and vertical path to the spreader.
     // Stacked-layer blocks (layer >= 1) have no spreader path of
@@ -65,7 +72,7 @@ RcModel::RcModel(const Floorplan& floorplan,
         const Meter thickness = b.layer == 0
                                     ? params_.dieThickness
                                     : params_.stackedDieThickness;
-        capacitance_[static_cast<std::size_t>(i)] =
+        capacitance[static_cast<std::size_t>(i)] =
             params_.cvSilicon * thickness * area *
             params_.timeScale;
         if (b.layer != 0)
@@ -79,8 +86,8 @@ RcModel::RcModel(const Floorplan& floorplan,
         const double r_spread =
             1.0 / (2.0 * params_.kSpreader *
                    std::sqrt(area / M_PI));
-        addEdge(i, spreaderNode_,
-                1.0 / (r_die + r_tim + r_spread));
+        edges.push_back(
+            {i, spreaderNode_, 1.0 / (r_die + r_tim + r_spread)});
     }
 
     // Lateral edges between abutting blocks.
@@ -103,7 +110,7 @@ RcModel::RcModel(const Floorplan& floorplan,
             const double r =
                 (da + db) /
                 (params_.kSilicon * params_.dieThickness * edge);
-            addEdge(i, j, 1.0 / r);
+            edges.push_back({i, j, 1.0 / r});
         }
     }
 
@@ -129,34 +136,21 @@ RcModel::RcModel(const Floorplan& floorplan,
                 params_.rStackBondPerArea +
                 0.5 * params_.stackedDieThickness /
                     params_.kSilicon;
-            addEdge(i, j, ov / r_per_area);
+            edges.push_back({i, j, ov / r_per_area});
         }
     }
 
     // Spreader and sink.
     const SquareMeter die_area = floorplan.totalArea();
-    capacitance_[static_cast<std::size_t>(spreaderNode_)] =
+    capacitance[static_cast<std::size_t>(spreaderNode_)] =
         params_.cvSpreader * params_.spreaderThickness * die_area *
         params_.spreaderAreaFactor * params_.timeScale;
-    capacitance_[static_cast<std::size_t>(sinkNode_)] =
+    capacitance[static_cast<std::size_t>(sinkNode_)] =
         params_.cSink * params_.timeScale;
-    addEdge(spreaderNode_, sinkNode_, 1.0 / params_.rSpreaderSink);
+    edges.push_back(
+        {spreaderNode_, sinkNode_, 1.0 / params_.rSpreaderSink});
 
-    gSinkAmbient_ = 1.0 / params_.rConvection;
-    nodeGtotal_[static_cast<std::size_t>(sinkNode_)] +=
-        gSinkAmbient_;
-
-    // Stability bound for explicit Euler: dt < min C/Gtotal. Use a
-    // quarter of it for accuracy.
-    maxStableDt_ = 1e30;
-    for (int n = 0; n < numNodes_; ++n) {
-        const auto idx = static_cast<std::size_t>(n);
-        if (nodeGtotal_[idx] > 0) {
-            maxStableDt_ = std::min(
-                maxStableDt_, capacitance_[idx] / nodeGtotal_[idx]);
-        }
-    }
-    maxStableDt_ *= 0.25;
+    const double g_sink_ambient = 1.0 / params_.rConvection;
 
     // O(1) resistance lookups for the DTM/floorplan setup paths.
     verticalRes_.assign(static_cast<std::size_t>(numBlocks_),
@@ -164,7 +158,7 @@ RcModel::RcModel(const Floorplan& floorplan,
     lateralRes_.assign(static_cast<std::size_t>(numBlocks_) *
                            static_cast<std::size_t>(numBlocks_),
                        std::numeric_limits<double>::infinity());
-    for (const Edge& e : edges_) {
+    for (const Edge& e : edges) {
         if (e.a < numBlocks_ && e.b == spreaderNode_) {
             verticalRes_[static_cast<std::size_t>(e.a)] =
                 1.0 / e.conductance;
@@ -183,7 +177,7 @@ RcModel::RcModel(const Floorplan& floorplan,
     std::vector<double> g(static_cast<std::size_t>(numNodes_) *
                               static_cast<std::size_t>(numNodes_),
                           0.0);
-    for (const Edge& e : edges_) {
+    for (const Edge& e : edges) {
         const auto a = static_cast<std::size_t>(e.a);
         const auto b = static_cast<std::size_t>(e.b);
         const auto n = static_cast<std::size_t>(numNodes_);
@@ -193,23 +187,15 @@ RcModel::RcModel(const Floorplan& floorplan,
         g[b * n + a] -= e.conductance;
     }
     g[static_cast<std::size_t>(sinkNode_) * numNodes_ +
-      sinkNode_] += gSinkAmbient_;
+      sinkNode_] += g_sink_ambient;
     std::vector<double> const_heat(
         static_cast<std::size_t>(numNodes_), 0.0);
     const_heat[static_cast<std::size_t>(sinkNode_)] =
-        gSinkAmbient_ * params_.ambient;
-    expm_.emplace(std::move(g), capacitance_,
+        g_sink_ambient * params_.ambient;
+    expm_.emplace(std::move(g), std::move(capacitance),
                   std::move(const_heat),
                   static_cast<std::size_t>(
                       params_.maxCachedPropagators));
-}
-
-void
-RcModel::addEdge(int a, int b, double conductance)
-{
-    edges_.push_back({a, b, conductance});
-    nodeGtotal_[static_cast<std::size_t>(a)] += conductance;
-    nodeGtotal_[static_cast<std::size_t>(b)] += conductance;
 }
 
 void
@@ -249,55 +235,10 @@ RcModel::totalPower() const
 }
 
 void
-RcModel::eulerStep(Seconds dt)
-{
-    std::fill(flux_.begin(), flux_.end(), 0.0);
-    for (int i = 0; i < numBlocks_; ++i)
-        flux_[static_cast<std::size_t>(i)] =
-            power_[static_cast<std::size_t>(i)];
-    flux_[static_cast<std::size_t>(sinkNode_)] +=
-        gSinkAmbient_ *
-        (params_.ambient - temp_[static_cast<std::size_t>(sinkNode_)]);
-
-    for (const Edge& e : edges_) {
-        const double q =
-            e.conductance * (temp_[static_cast<std::size_t>(e.a)] -
-                             temp_[static_cast<std::size_t>(e.b)]);
-        flux_[static_cast<std::size_t>(e.a)] -= q;
-        flux_[static_cast<std::size_t>(e.b)] += q;
-    }
-    for (int n = 0; n < numNodes_; ++n) {
-        const auto idx = static_cast<std::size_t>(n);
-        temp_[idx] += dt * flux_[idx] / capacitance_[idx];
-    }
-}
-
-void
 RcModel::step(Seconds dt)
 {
-    if (dt <= 0)
-        return;
-    if (params_.solver == ThermalSolver::Expm) {
+    if (dt > 0)
         expm_->advance(temp_, power_, dt);
-        return;
-    }
-    // The substep count can exceed any integer type for small
-    // timeScale (tiny capacitances => tiny maxStableDt_), and
-    // casting the ceil to int would be UB; bound it in floating
-    // point first, then count in 64 bits.
-    constexpr double kMaxSubsteps = 10'000'000.0;
-    const double raw = std::ceil(dt / maxStableDt_);
-    if (!(raw < kMaxSubsteps)) {
-        fatal("RcModel::step: dt=", dt, " s needs ", raw,
-              " explicit-Euler substeps (maxStableDt=",
-              maxStableDt_, " s); timeScale=", params_.timeScale,
-              " is too small to integrate at this step size");
-    }
-    const std::int64_t substeps =
-        std::max<std::int64_t>(1, static_cast<std::int64_t>(raw));
-    const Seconds h = dt / static_cast<double>(substeps);
-    for (std::int64_t s = 0; s < substeps; ++s)
-        eulerStep(h);
 }
 
 void

@@ -11,12 +11,11 @@
  * small blocks, which yields the paper's key physical property:
  * adjacent resource copies can sit several Kelvin apart.
  *
- * Transient integration defaults to the exponential integrator
+ * Transient integration is the exponential integrator
  * (ExpmSolver): exact for piecewise-constant power, one dense
- * matvec per step. The original explicit Euler path (automatic
- * substepping below the smallest node time constant) is retained
- * behind ThermalParams::solver as a cross-check oracle. Steady
- * states come from the LU factors cached at construction.
+ * matvec per step. Steady states come from the LU factors cached
+ * at construction. test_expm_solver checks it against an
+ * explicit-Euler reference over the same G and C.
  *
  * `timeScale` scales every capacitance, compressing the thermal
  * dynamics so short simulations traverse multiple time constants
@@ -39,21 +38,6 @@ namespace tempest
 
 class StateWriter;
 class StateReader;
-
-/**
- * Transient integration scheme.
- *
- * Expm is the production path: exact for piecewise-constant power
- * via the precomputed matrix exponential, one O(n^2) update per
- * step regardless of stiffness. Euler is the original explicit
- * integrator with automatic substepping, retained as a
- * cross-check oracle (the expm tests assert agreement with it).
- */
-enum class ThermalSolver
-{
-    Expm,
-    Euler
-};
 
 /** Package and material parameters. */
 struct ThermalParams
@@ -121,9 +105,6 @@ struct ThermalParams
     /** Capacitance compression for short simulations. */
     double timeScale = 1.0;
 
-    /** Transient integration scheme (see ThermalSolver). */
-    ThermalSolver solver = ThermalSolver::Expm;
-
     void validate() const;
     bool operator==(const ThermalParams&) const = default;
 };
@@ -147,7 +128,8 @@ class RcModel
     /** Sum of all block powers. */
     Watt totalPower() const;
 
-    /** Advance the transient solution by dt (substepped). */
+    /** Advance the transient solution by dt, exactly for the
+     * current (constant) powers. */
     void step(Seconds dt);
 
     /** Jump to the steady state for the current powers. */
@@ -162,9 +144,6 @@ class RcModel
 
     /** Force one block node's temperature (warm-start clamping). */
     void setTemperature(int block, Kelvin t);
-
-    /** Largest stable explicit-Euler step. */
-    Seconds maxStableDt() const { return maxStableDt_; }
 
     /** Vertical block-to-spreader resistance (O(1) lookup). */
     KelvinPerWatt verticalResistance(int block) const;
@@ -192,16 +171,6 @@ class RcModel
     void loadState(StateReader& r);
 
   private:
-    struct Edge
-    {
-        int a;
-        int b;
-        double conductance; ///< W/K
-    };
-
-    void addEdge(int a, int b, double conductance);
-    void eulerStep(Seconds dt);
-
     // Everything except temp_/power_ is assembled once in the
     // constructor from (floorplan, params) and never mutated, so
     // only the dynamic state travels in a checkpoint; the restoring
@@ -212,15 +181,8 @@ class RcModel
     int sinkNode_;         // ckpt:skip(derived from the floorplan)
     int numNodes_;
 
-    std::vector<Edge> edges_; // ckpt:skip(assembled once from the floorplan)
-    // ckpt:skip(assembled once from the floorplan)
-    std::vector<double> capacitance_;  ///< J/K per node
-    // ckpt:skip(assembled once from the floorplan)
-    std::vector<double> nodeGtotal_;   ///< sum of conductances
     std::vector<Kelvin> temp_;
     std::vector<Watt> power_;          ///< block nodes only
-    double gSinkAmbient_ = 0.0; // ckpt:skip(derived from params)
-    Seconds maxStableDt_ = 0.0; // ckpt:skip(derived from edges/capacitance)
 
     // Per-block resistance lookups built in the constructor so
     // the DTM/floorplan setup paths avoid O(edges) scans.
@@ -231,9 +193,6 @@ class RcModel
 
     /** Exponential-integrator backend (holds the LU of G). */
     std::optional<ExpmSolver> expm_; // ckpt:skip(rebuilt from G/C matrices; per-dt cache is a pure accelerator)
-
-    // Scratch for the Euler step.
-    std::vector<double> flux_; // ckpt:skip(per-step scratch, fully overwritten)
 };
 
 } // namespace tempest

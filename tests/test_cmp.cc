@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -423,6 +424,23 @@ TEST(Cmp, ResetMeasurementRoundTripsThroughCheckpoints)
     resumed.runTo(kCycles);
     EXPECT_EQ(hashCmpResult(resumed.result()),
               hashCmpResult(expect));
+}
+
+/** A cooling time that is no stall cycle count is refused at
+ * construction: negative and huge ones used to run past any
+ * timeout, and 0 silently disabled the stop-go fallback. */
+TEST(Cmp, RejectsCoolingTimeWithoutAStallCycleCount)
+{
+    for (const double seconds :
+         {-1.0, 0.0, 1e-12, 1e30, std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::quiet_NaN()}) {
+        CmpSimConfig config = cmpConfigFor(1, {"art"});
+        config.base.dtm.coolingTime = seconds;
+        EXPECT_THROW(CmpSimulator{config}, FatalError) << seconds;
+    }
+    CmpSimConfig config = cmpConfigFor(1, {"art"});
+    config.base.dtm.coolingTime = 0.01;
+    EXPECT_NO_THROW(CmpSimulator{config});
 }
 
 /** The 1-core engine runs a profile that is not in SPEC2000. */

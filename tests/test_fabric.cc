@@ -134,6 +134,15 @@ TEST(FabricProtocol, WarmJobWithoutSnapshotPathIsFatal)
                  FatalError);
 }
 
+TEST(FabricProtocol, JobWithAnUnknownConfigKeyIsFatal)
+{
+    const Job job = experiments::singleCoreJob(
+        "cold", experiments::iqBase(), "art", 1000);
+    serve::Json doc = serve::Json::parse(encodeJob(0, job));
+    doc["config"]["dtm.togling"] = serve::Json("true");
+    EXPECT_THROW(parseJob(doc), FatalError);
+}
+
 TEST(FabricProtocol, ResultRoundTripPreservesEveryBit)
 {
     Outcome out;

@@ -632,6 +632,46 @@ TEST(ServeDaemonTest, StatsPingAndErrorsOverTheWire)
     daemon.stop();
 }
 
+TEST(ServeDaemonTest, UnknownConfigKeyIsAnUncachedError)
+{
+    // The daemon translates sim keys only: a cmp.cores request
+    // used to run one core, and a typo ran the default.
+    const std::string sock = tempSocketPath("keys");
+    ServeOptions options;
+    options.socketPath = sock;
+    options.threads = 1;
+    ServeDaemon daemon(options);
+    daemon.start();
+    TestClient client(sock);
+    const auto names = [](const Json& reply, const std::string& key) {
+        const Json* error = reply.find("error");
+        return error != nullptr &&
+               error->asString().find("'" + key + "'") !=
+                   std::string::npos;
+    };
+
+    const std::string line =
+        R"({"op":"run","benchmark":"eon","cycles":1000,)"
+        R"("config":{"cmp.cores":"4"}})";
+    for (int i = 0; i < 2; ++i) {
+        const Json reply = client.rpc(line);
+        EXPECT_TRUE(names(reply, "cmp.cores")) << reply.dump();
+    }
+    const Json typo = client.rpc(
+        R"({"op":"run","benchmark":"eon","cycles":1000,)"
+        R"("config":{"dtm.togling":"true"}})");
+    EXPECT_TRUE(names(typo, "dtm.togling")) << typo.dump();
+
+    // Still serving, and none of the refusals was cached.
+    const Json ok = client.rpc(
+        R"({"op":"run","benchmark":"eon","cycles":1000})");
+    EXPECT_TRUE(ok.find("ok")->asBool()) << ok.dump();
+    const ServeStats stats = daemon.stats();
+    EXPECT_EQ(stats.jobsFailed, 3u);
+    EXPECT_EQ(stats.cache.entries, 1u);
+    daemon.stop();
+}
+
 TEST(ServeDaemonTest, WakeFdByteStopsTheDaemonLikeASignal)
 {
     const std::string sock = tempSocketPath("sig");

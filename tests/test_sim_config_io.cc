@@ -40,7 +40,6 @@ allKeys()
         {"thermal.time_scale", "0.125"},
         {"thermal.ambient", "308.15"},
         {"thermal.convection", "0.6"},
-        {"thermal.solver", "euler"},
         {"thermal.max_cached_propagators", "4"},
         {"thermal.r_stack_bond", "8.0e-6"},
         {"thermal.stacked_die_thickness", "0.2e-3"},
@@ -100,8 +99,6 @@ TEST(SimConfigIo, SampleListCoversEveryAcceptedKey)
                 defaults.thermal.ambient ||
             translated.thermal.rConvection !=
                 defaults.thermal.rConvection ||
-            translated.thermal.solver !=
-                defaults.thermal.solver ||
             translated.thermal.maxCachedPropagators !=
                 defaults.thermal.maxCachedPropagators ||
             translated.thermal.rStackBondPerArea !=
@@ -288,13 +285,55 @@ TEST(SimConfigIo, RangeValidationStaysFatal)
     bad_variant.set("floorplan.variant", "hexagon");
     EXPECT_THROW(simConfigFromConfig(bad_variant), FatalError);
 
-    Config bad_solver;
-    bad_solver.set("thermal.solver", "magic");
-    EXPECT_THROW(simConfigFromConfig(bad_solver), FatalError);
-
     Config bad_mapping;
     bad_mapping.set("dtm.mapping", "sideways");
     EXPECT_THROW(simConfigFromConfig(bad_mapping), FatalError);
+}
+
+/** The message of the FatalError `fn` throws, or "" if none. */
+template <typename Fn>
+std::string
+fatalMessage(Fn&& fn)
+{
+    try {
+        fn();
+    } catch (const FatalError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(SimConfigIo, UnknownKeyIsFatalNamingIt)
+{
+    Config sim;
+    for (const auto& [key, value] : allKeys())
+        sim.set(key, value);
+    EXPECT_NO_THROW(simConfigFromConfig(sim));
+    Config cmp = sim;
+    for (const auto& [key, value] : cmpKeys())
+        cmp.set(key, value);
+    cmp.set("run.benchmark", "art");
+    EXPECT_NO_THROW(cmpConfigFromConfig(cmp));
+
+    // A misspelled key, and a CMP key the single-core reader
+    // does not apply, each name themselves.
+    Config typo = sim;
+    typo.set("dtm.togling", "true");
+    EXPECT_NE(fatalMessage([&] { simConfigFromConfig(typo); })
+                  .find("'dtm.togling'"),
+              std::string::npos);
+    Config cores = sim;
+    cores.set("cmp.cores", "4");
+    EXPECT_NE(fatalMessage([&] { simConfigFromConfig(cores); })
+                  .find("'cmp.cores'"),
+              std::string::npos);
+
+    // A key only the caller reads passes when the caller names it.
+    cmp.set("run.cycles", "1000");
+    EXPECT_NE(fatalMessage([&] { cmpConfigFromConfig(cmp); })
+                  .find("'run.cycles'"),
+              std::string::npos);
+    EXPECT_NO_THROW(cmpConfigFromConfig(cmp, {"run.cycles"}));
 }
 
 /** cmpConfigFromConfig(configFromCmpConfig(c)), seed restored. */

@@ -181,25 +181,6 @@ TEST(Thermal, CoolingAfterPowerRemoval)
     EXPECT_GT(rc.temperature(0), params.ambient);
 }
 
-TEST(Thermal, StabilityAcrossLargeSteps)
-{
-    // Substepping must keep explicit Euler stable for any dt.
-    ThermalParams params;
-    params.solver = ThermalSolver::Euler;
-    params.timeScale = 0.05;
-    RcModel rc(
-        Floorplan::ev6Like(FloorplanVariant::IqConstrained),
-        params);
-    for (int b = 0; b < rc.numBlocks(); ++b)
-        rc.setPower(b, 0.5);
-    for (int i = 0; i < 50; ++i)
-        rc.step(0.01); // far above maxStableDt
-    for (int b = 0; b < rc.numBlocks(); ++b) {
-        ASSERT_GT(rc.temperature(b), params.ambient - 1.0);
-        ASSERT_LT(rc.temperature(b), 500.0);
-    }
-}
-
 TEST(Thermal, TimeScaleCompressesDynamicsNotSteadyState)
 {
     ThermalParams slow;
@@ -256,39 +237,6 @@ TEST(Thermal, TotalPowerSums)
     rc.setPower(0, 1.25);
     rc.setPower(1, 2.75);
     EXPECT_DOUBLE_EQ(rc.totalPower(), 4.0);
-}
-
-TEST(Thermal, StepHandlesLargeSubstepCounts)
-{
-    // Regression: ceil(dt / maxStableDt_) used to be cast to int,
-    // which overflows (UB) for small timeScale. A count in the
-    // tens of thousands must integrate fine...
-    ThermalParams params;
-    params.solver = ThermalSolver::Euler;
-    RcModel rc(singleBlock(), params);
-    rc.setPower(0, 1.0);
-    rc.step(rc.maxStableDt() * 20000.5);
-    EXPECT_GT(rc.temperature(0), params.ambient);
-    EXPECT_TRUE(std::isfinite(rc.temperature(0)));
-}
-
-TEST(Thermal, StepRejectsAbsurdSubstepCountsNamingTimeScale)
-{
-    // ...while a count that would once have overflowed int is
-    // rejected with a diagnostic naming timeScale. (The expm
-    // solver has no substep limit; this guard is Euler-only.)
-    ThermalParams params;
-    params.solver = ThermalSolver::Euler;
-    params.timeScale = 1e-12;
-    RcModel rc(singleBlock(), params);
-    try {
-        rc.step(1.0);
-        FAIL() << "expected FatalError";
-    } catch (const FatalError& e) {
-        EXPECT_NE(std::string(e.what()).find("timeScale"),
-                  std::string::npos)
-            << e.what();
-    }
 }
 
 } // namespace

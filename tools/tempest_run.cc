@@ -16,13 +16,15 @@
  *              mapping = priority|balanced|completely-balanced,
  *              max_temperature, toggle_delta, cooling_time
  *   [thermal]  time_scale, ambient, convection,
- *              solver = expm|euler, max_cached_propagators,
- *              r_stack_bond, stacked_die_thickness
+ *              max_cached_propagators, r_stack_bond,
+ *              stacked_die_thickness
  *   [sim]      sample_interval, warm_start
  *   [cmp]      cores, l2, benchmarks,
  *              migration.{enabled,margin,min_gap,
  *              cooldown_intervals,stall_cycles,bytes_per_cycle}
  *   [stack]    dram, dram_energy_per_access, dram_static_w
+ *
+ * Any other key is fatal, naming it (exit 1).
  *
  * `--cores N` is sugar for the `cmp.cores = N` override. Every
  * run goes through the one engine (CmpSimulator): N cores in
@@ -219,7 +221,8 @@ main(int argc, char** argv)
         const auto cycles =
             static_cast<std::uint64_t>(cycles_signed);
 
-        const CmpSimConfig config = cmpConfigFromConfig(cfg);
+        const CmpSimConfig config = cmpConfigFromConfig(
+            cfg, {"run.cycles", "run.trace_csv", "run.trace_stride"});
         CmpSimulator sim(config);
         // One core without a stacked DRAM die is the single-core
         // simulation: its report, result_hash and checkpoint name.

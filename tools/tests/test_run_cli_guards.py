@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
 """Regression tests for tempest_run's argument hardening.
 
-Two historical bugs, both of the silently-wrong variety:
+Four historical bugs, all of the silently-wrong variety:
 
   * a negative [run] cycles value passed through getInt() was cast
     straight to uint64_t, wrapped to ~1.8e19, and ran "forever" —
     it must now fail fast with a clear message;
   * --checkpoint-every was parsed with an unchecked strtoull, so
     trailing garbage ("1000x", "10 20") and negative values were
-    silently accepted as something else entirely.
+    silently accepted as something else entirely;
+  * a key nothing reads (a typo such as dtm.togling, or a bare
+    "cycles") was ignored, and the run took the default instead;
+  * a dtm.cooling_time of -1 or 1e30 was cast to a cycle count
+    unchecked (UB) and the run never finished; 0 stalled nothing.
 
 Usage: test_run_cli_guards.py <tempest_run binary>
 """
@@ -18,14 +22,14 @@ import sys
 import tempfile
 
 
-def run(binary, config_text, *extra):
+def run(binary, config_text, *extra, timeout=300):
     with tempfile.NamedTemporaryFile(
             "w", suffix=".ini", delete=False) as f:
         f.write(config_text)
         path = f.name
     return subprocess.run(
         [binary, path, *extra],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=timeout)
 
 
 FAST = """
@@ -87,6 +91,33 @@ def main():
         check(r.returncode == 0,
               f"valid --checkpoint-every runs "
               f"(exit {r.returncode})")
+
+    # A key nothing applies is fatal and named, from the file or
+    # the command line: a typo, a bare key without its section,
+    # and the removed thermal.solver.
+    for bad in ("dtm.togling = true", "cycles = 6000000",
+                "thermal.solver = euler"):
+        key = bad.split(" = ")[0]
+        r = run(binary, FAST, bad)
+        check(r.returncode == 1 and f"'{key}'" in r.stderr,
+              f"override {bad!r} is rejected naming {key!r}")
+    r = run(binary, FAST + "toggle_delta = 0.5\n")
+    check(r.returncode == 1 and "'run.toggle_delta'" in r.stderr,
+          "a key under the wrong section is rejected")
+
+    # A cooling time with no stall cycle count fails fast instead
+    # of hanging (-1, 1e30) or stalling nothing (0).
+    hot = (FAST.replace("cycles = 50000", "cycles = 400000") +
+           "[dtm]\nmax_temperature = 330\n")
+    for bad in ("-1", "1e30", "0"):
+        try:
+            r = run(binary, hot, f"dtm.cooling_time = {bad}",
+                    timeout=30)
+            ok = (r.returncode == 1 and
+                  "dtm.cooling_time" in r.stderr)
+        except subprocess.TimeoutExpired:
+            ok = False
+        check(ok, f"dtm.cooling_time = {bad} is rejected quickly")
 
     if failures:
         print(f"\n{len(failures)} check(s) FAILED")
