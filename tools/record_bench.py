@@ -5,14 +5,14 @@ Builds the base revision in a temporary checkout that carries this
 tree's perfbench/ and BENCHMARK.json, so only the program differs
 between the two sides, and this tree as it stands in a second one,
 so edits made while pairs run cannot reach the measured program.
-Then, per workload, runs interleaved pairs of
-untraced perfbench/run.py runs: pair i runs seed i+1 on both sides,
-the base first on even pairs and the change first on odd ones. It
-prints each end-to-end metric's median and quartiles per side and
-the change/base ratio of every pair, and exits 1 when the median
-ratio of paper_sweep sim_mips is below GATE_MIN_RATIO. A run that
-fails or reports "correct": false stops the script, naming the run,
-and nothing is recorded.
+Then, per workload, runs interleaved pairs of untraced
+perfbench/run.py runs: pair i runs seed i+1 on both sides, the base
+first on even pairs and the change first on odd ones. It prints each
+end-to-end metric's median and quartiles per side and the
+change/base ratio of every pair, and exits 1 when the median ratio
+of paper_sweep sim_mips is below GATE_MIN_RATIO. A run that fails or
+reports "correct": false stops the script, naming the run, and
+nothing is recorded.
 
     python3 tools/record_bench.py [--base HEAD^] [--pairs 10]
         [--seconds S] [--workload NAME ...] [--record]
