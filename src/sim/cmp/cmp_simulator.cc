@@ -254,8 +254,9 @@ CmpSimulator::step(std::uint64_t cycles)
     const int B = coreBlocks_;
     const int jobs = config_.cores;
 
-    // 1. Advance every core over the same cycle range; stalled
-    // cores burn clock-gated cycles.
+    // 1. Advance every core over the same cycle range (each jumps
+    // over its own idle cycles); stalled cores burn clock-gated
+    // cycles.
     for (int j = 0; j < jobs; ++j) {
         Engine& e = *engines_[static_cast<std::size_t>(j)];
         ActivityRecord& iv =
@@ -264,12 +265,10 @@ CmpSimulator::step(std::uint64_t cycles)
         const bool stalled = e.stallRemaining > 0;
         stalledScratch_[static_cast<std::size_t>(j)] =
             stalled ? 1 : 0;
-        if (stalled) {
+        if (stalled)
             e.core->stallCycles(cycles, iv);
-        } else {
-            for (std::uint64_t c = 0; c < cycles; ++c)
-                e.core->tick(iv);
-        }
+        else
+            e.core->advance(cycles, iv);
     }
 
     const Seconds dt = static_cast<double>(cycles) /

@@ -1,6 +1,7 @@
 #include "sim/sim_config_io.hh"
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <string_view>
 
@@ -98,9 +99,11 @@ readSimConfig(const Config& cfg)
     const std::int64_t max_cached = cfg.getInt(
         "thermal.max_cached_propagators",
         sim.thermal.maxCachedPropagators);
-    if (max_cached < 1) {
-        fatal("thermal.max_cached_propagators must be >= 1 (got ",
-              max_cached, ")");
+    if (max_cached < 1 ||
+        max_cached > std::numeric_limits<int>::max()) {
+        fatal("thermal.max_cached_propagators must be in [1, ",
+              std::numeric_limits<int>::max(), "] (got ", max_cached,
+              ")");
     }
     sim.thermal.maxCachedPropagators =
         static_cast<int>(max_cached);

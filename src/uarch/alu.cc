@@ -33,6 +33,24 @@ AluPool::fpAdderAvailable(int adder) const
     return fpAdderOff_[adder] == 0;
 }
 
+std::uint64_t
+AluPool::intAluOnMask() const
+{
+    std::uint64_t on = 0;
+    for (int a = 0; a < numIntAlus_; ++a)
+        on |= static_cast<std::uint64_t>(intAluOff_[a] == 0) << a;
+    return on;
+}
+
+std::uint64_t
+AluPool::fpAdderOnMask() const
+{
+    std::uint64_t on = 0;
+    for (int a = 0; a < numFpAdders_; ++a)
+        on |= static_cast<std::uint64_t>(fpAdderOff_[a] == 0) << a;
+    return on;
+}
+
 void
 AluPool::setIntAluOff(int alu, TurnoffReason reason, bool off)
 {

@@ -50,6 +50,12 @@ class AluPool
     /** @return true if an FP adder may be granted work. */
     bool fpAdderAvailable(int adder) const;
 
+    /** Bit a set iff integer ALU a may be granted work. */
+    std::uint64_t intAluOnMask() const;
+
+    /** Bit a set iff FP adder a may be granted work. */
+    std::uint64_t fpAdderOnMask() const;
+
     /** Set or clear one turnoff reason on an integer ALU. */
     void setIntAluOff(int alu, TurnoffReason reason, bool off);
 

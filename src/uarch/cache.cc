@@ -1,5 +1,7 @@
 #include "uarch/cache.hh"
 
+#include <bit>
+
 #include "common/log.hh"
 #include "common/types.hh"
 #include "sim/checkpoint/stateio.hh"
@@ -19,6 +21,8 @@ Cache::Cache(std::uint64_t size_bytes, int ways,
     sets_ = static_cast<int>(size_bytes / (line_bytes * ways));
     if (sets_ < 1)
         fatal("cache must have at least one set");
+    if (std::has_single_bit(static_cast<unsigned>(sets_)))
+        setShift_ = std::countr_zero(static_cast<unsigned>(sets_));
     lines_.assign(static_cast<std::size_t>(sets_) * ways_, Way{});
 }
 
@@ -39,10 +43,8 @@ Cache::access(std::uint64_t line_addr)
 {
     ++accesses_;
     ++useClock_;
-    const int set = static_cast<int>(line_addr %
-                                     static_cast<std::uint64_t>(sets_));
-    const std::uint64_t tag = line_addr /
-                              static_cast<std::uint64_t>(sets_);
+    const int set = setOf(line_addr);
+    const std::uint64_t tag = tagOf(line_addr);
     const auto base = static_cast<std::size_t>(set) * ways_;
 
     const int hit_way = findWay(set, tag);
@@ -76,11 +78,7 @@ Cache::access(std::uint64_t line_addr)
 bool
 Cache::probe(std::uint64_t line_addr) const
 {
-    const int set = static_cast<int>(line_addr %
-                                     static_cast<std::uint64_t>(sets_));
-    const std::uint64_t tag = line_addr /
-                              static_cast<std::uint64_t>(sets_);
-    return findWay(set, tag) != invalidIndex;
+    return findWay(setOf(line_addr), tagOf(line_addr)) != invalidIndex;
 }
 
 void

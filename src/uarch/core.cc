@@ -99,6 +99,24 @@ OooCore::OooCore(const PipelineConfig& config,
     fetchCls_ = a.alloc<std::uint8_t>(fetch_n);
     fetchNumSrcs_ = a.alloc<std::uint8_t>(fetch_n);
     fetchFlags_ = a.alloc<std::uint8_t>(fetch_n);
+
+    wakeScratch_ =
+        a.alloc<std::uint64_t>(static_cast<std::size_t>(wheelSlotCap_));
+
+    // Select masks: all ones (the integer trees' eligibility), then
+    // the memory, FpAdd and FpMul masks, one bitmap's words each.
+    const auto words = static_cast<std::size_t>(
+        std::max(intIq_.bitWords(), fpIq_.bitWords()));
+    selectMasks_.assign(4 * words, 0);
+    std::fill_n(selectMasks_.begin(), words, ~0ULL);
+    memMask_ = selectMasks_.data() + words;
+    fpAddMask_ = memMask_ + words;
+    fpMulMask_ = fpAddMask_ + words;
+    intElig_.assign(static_cast<std::size_t>(config.numIntAlus),
+                    selectMasks_.data());
+    fpElig_.assign(static_cast<std::size_t>(config.numFpAdders),
+                   fpAddMask_);
+    fpElig_.push_back(fpMulMask_); // last tree = FP multiplier
 }
 
 void
@@ -114,15 +132,6 @@ OooCore::robHeadSeq() const
     if (robCount_ == 0)
         return stream_.generated() + 1;
     return robSeq_[static_cast<std::size_t>(robHead_)];
-}
-
-bool
-OooCore::producerReady(std::uint64_t producer_seq) const
-{
-    if (producer_seq == 0 || producer_seq < robHeadSeq())
-        return true; // committed (or no producer)
-    const std::uint64_t idx = producer_seq & doneMask_;
-    return ((done_[idx >> 6] >> (idx & 63)) & 1) != 0;
 }
 
 void
@@ -158,11 +167,11 @@ OooCore::doWriteback(ActivityRecord& activity)
         return;
     const std::size_t base =
         slot * static_cast<std::size_t>(wheelSlotCap_);
-    // Count the result tags completing this cycle; dependents wake
-    // through the per-producer watch index as each completion
-    // drains, so the same-cycle completion count is unbounded (the
-    // old fixed tag list silently dropped wakeups past its cap,
-    // deadlocking the queues).
+    // Collect the result tags completing this cycle. Only an op
+    // that writes a destination can be a producer (the generator
+    // draws sources from its destination ring), and the scratch
+    // holds a whole wheel slot, so every same-cycle completion
+    // wakes its dependents however many there are.
     int num_tags = 0;
     for (int i = 0; i < num_events; ++i) {
         const std::size_t at = base + static_cast<std::size_t>(i);
@@ -170,11 +179,9 @@ OooCore::doWriteback(ActivityRecord& activity)
         robCompleted_[rob_idx >> 6] |=
             1ULL << (rob_idx & 63);
         markDone(wheelSeq_[at]);
-        intIq_.wakeMatching(wheelSeq_[at]);
-        fpIq_.wakeMatching(wheelSeq_[at]);
         const std::uint8_t flags = wheelFlags_[at];
         if (flags & kWheelHasDest) {
-            ++num_tags;
+            wakeScratch_[num_tags++] = wheelSeq_[at];
             // Result write: all integer copies, or the FP file.
             if (flags & kWheelFpDest)
                 ++activity.fpRegWrites;
@@ -191,6 +198,9 @@ OooCore::doWriteback(ActivityRecord& activity)
         }
     }
     wheelCount_[slot] = 0;
+    // One tag compare per queue, the CAM broadcast.
+    intIq_.wakeup(wakeScratch_, num_tags);
+    fpIq_.wakeup(wakeScratch_, num_tags);
     // Clock-gated empty queues skip the broadcast charge entirely.
     intIq_.chargeWakeup(num_tags, activity);
     fpIq_.chargeWakeup(num_tags, activity);
@@ -233,7 +243,6 @@ void
 OooCore::doIssue(ActivityRecord& activity)
 {
     int budget = config_.issueWidth;
-    int mem_ports_left = config_.l1dPorts;
 
     // The active list does not move during select, so the head
     // position/sequence used for ROB indexing can be read once.
@@ -256,22 +265,10 @@ OooCore::doIssue(ActivityRecord& activity)
         if (budget <= 0 || intIq_.count() == 0)
             return;
         grantScratch_.clear();
-        intSelect_.select(
-            intIq_, cycle_, budget,
-            [this](int fu) { return alus_.intAluAvailable(fu); },
-            [&mem_ports_left](int, OpClass cls) {
-                if (!AluPool::intAluExecutes(cls))
-                    return false;
-                if (isMemClass(cls)) {
-                    if (mem_ports_left <= 0)
-                        return false;
-                    // A true return is always granted, so the
-                    // port is consumed here.
-                    --mem_ports_left;
-                }
-                return true;
-            },
-            grantScratch_);
+        intIq_.classMask(OpClass::Load, OpClass::Store, memMask_);
+        intSelect_.select(intIq_, cycle_, budget, alus_.intAluOnMask(),
+                          intElig_.data(), memMask_, config_.l1dPorts,
+                          grantScratch_);
         for (const Grant& g : grantScratch_) {
             // Field reads straight out of the queue's SoA arrays;
             // markIssued only flips a pending bit, so the reads
@@ -313,18 +310,12 @@ OooCore::doIssue(ActivityRecord& activity)
             return;
         const int mul_fu = config_.numFpAdders;
         grantScratch_.clear();
-        fpSelect_.select(
-            fpIq_, cycle_, budget,
-            [this, mul_fu](int fu) {
-                if (fu == mul_fu)
-                    return true; // multiplier is never turned off
-                return alus_.fpAdderAvailable(fu);
-            },
-            [mul_fu](int fu, OpClass cls) {
-                return fu == mul_fu ? cls == OpClass::FpMul
-                                    : cls == OpClass::FpAdd;
-            },
-            grantScratch_);
+        fpIq_.classMask(OpClass::FpAdd, OpClass::FpAdd, fpAddMask_);
+        fpIq_.classMask(OpClass::FpMul, OpClass::FpMul, fpMulMask_);
+        // The multiplier is never turned off.
+        fpSelect_.select(fpIq_, cycle_, budget,
+                         alus_.fpAdderOnMask() | 1ULL << mul_fu,
+                         fpElig_.data(), nullptr, 0, grantScratch_);
         for (const Grant& g : grantScratch_) {
             const int p = g.physIdx;
             const OpClass cls = fpIq_.opClassAt(p);
@@ -355,64 +346,72 @@ OooCore::doIssue(ActivityRecord& activity)
     }
 }
 
+bool
+OooCore::dispatchStalled() const
+{
+    if (fetchCount_ == 0 || robCount_ >= config_.activeListEntries)
+        return true;
+    // Bitwise, not short-circuit: the op class is a coin flip to
+    // the branch predictor.
+    const auto cls = static_cast<OpClass>(fetchCls_[fetchHead_]);
+    const bool lsq_full =
+        isMemClass(cls) & (lsqCount_ >= config_.lsqEntries);
+    return lsq_full | !(isFpClass(cls) ? fpIq_ : intIq_).canDispatch();
+}
+
 void
 OooCore::doDispatch(ActivityRecord& activity)
 {
+    // A source waits while its producer is in flight: at or after
+    // the active-list head and not yet done. Older producers have
+    // committed, whatever their done bit says once the ring has
+    // wrapped. The head seq changes only when the first op enters
+    // an empty active list.
+    std::uint64_t head_seq = robHeadSeq();
+    const auto waits = [this, &head_seq](std::uint64_t producer) {
+        const std::uint64_t idx = producer & doneMask_;
+        const bool done = (done_[idx >> 6] >> (idx & 63)) & 1;
+        return (producer >= head_seq) & !done;
+    };
     for (int n = 0; n < config_.issueWidth; ++n) {
-        if (fetchCount_ == 0)
-            return;
-        if (robCount_ >= config_.activeListEntries)
+        if (dispatchStalled())
             return;
         const auto at = static_cast<std::size_t>(fetchHead_);
         const auto cls = static_cast<OpClass>(fetchCls_[at]);
         const bool is_mem = isMemClass(cls);
-        if (is_mem && lsqCount_ >= config_.lsqEntries)
-            return;
-        IssueQueue& iq = isFpClass(cls) ? fpIq_ : intIq_;
-        if (!iq.canDispatch())
-            return;
-
         const std::uint64_t seq = fetchSeq_[at];
-        const std::uint8_t flags = fetchFlags_[at];
-        IqEntry entry;
-        entry.seq = seq;
-        entry.cls = cls;
-        entry.numSrcs = fetchNumSrcs_[at];
-        entry.hasDest = (flags & kFetchHasDest) != 0;
-        entry.lineAddr = fetchLine_[at];
-        entry.mispredicted = (flags & kFetchMispredict) != 0;
-        if (entry.numSrcs > 0) {
-            entry.src[0] = fetchSrc0_[at];
-            entry.srcReady[0] = producerReady(entry.src[0]);
-        }
-        if (entry.numSrcs > 1) {
-            entry.src[1] = fetchSrc1_[at];
-            entry.srcReady[1] = producerReady(entry.src[1]);
-        }
+        const std::uint64_t src0 = fetchSrc0_[at];
+        const std::uint64_t src1 = fetchSrc1_[at];
+        // An unused source holds seq 0, which reads as ready.
+        const bool wait0 = waits(src0);
+        const bool wait1 = waits(src1);
 
-        // Allocate the active-list slot before inserting so the
-        // in-flight window check in producerReady stays correct.
+        // Allocate the active-list slot before inserting.
         int rob_idx = robHead_ + robCount_;
         if (rob_idx >= config_.activeListEntries)
             rob_idx -= config_.activeListEntries;
         robSeq_[static_cast<std::size_t>(rob_idx)] = seq;
-        const std::uint64_t rob_bit = 1ULL << (rob_idx & 63);
-        robCompleted_[rob_idx >> 6] &= ~rob_bit;
-        if (is_mem)
-            robIsMem_[rob_idx >> 6] |= rob_bit;
-        else
-            robIsMem_[rob_idx >> 6] &= ~rob_bit;
-        ++robCount_;
+        const int rob_bit = rob_idx & 63;
+        std::uint64_t& completed = robCompleted_[rob_idx >> 6];
+        std::uint64_t& mem = robIsMem_[rob_idx >> 6];
+        completed &= ~(1ULL << rob_bit);
+        mem = (mem & ~(1ULL << rob_bit)) |
+              static_cast<std::uint64_t>(is_mem) << rob_bit;
+        if (robCount_++ == 0)
+            head_seq = seq;
         markInFlight(seq);
-        if (is_mem) {
-            ++lsqCount_;
-            ++activity.lsqOps;
-        }
-        if (cls == OpClass::Branch)
-            ++activity.bpredAccesses;
+        lsqCount_ += is_mem;
+        activity.lsqOps += is_mem;
+        activity.bpredAccesses += cls == OpClass::Branch;
         ++activity.renameOps;
 
-        iq.dispatch(entry, activity);
+        const std::uint8_t flags = fetchFlags_[at];
+        (isFpClass(cls) ? fpIq_ : intIq_)
+            .dispatchFields(seq, cls, fetchNumSrcs_[at], src0, src1,
+                            wait0, wait1,
+                            (flags & kFetchHasDest) != 0,
+                            (flags & kFetchMispredict) != 0,
+                            fetchLine_[at], activity);
         if (++fetchHead_ == fetchCap_)
             fetchHead_ = 0;
         --fetchCount_;
@@ -427,21 +426,30 @@ OooCore::setFetchInterval(int interval)
     fetchInterval_ = interval;
 }
 
+Cycle
+OooCore::nextFetchCycle() const
+{
+    // A mispredict or a full buffer waits on writeback or dispatch;
+    // otherwise fetch runs after the redirect penalty, on a
+    // throttle-period boundary (thermal fetch throttling).
+    if (fetchBlocked_ || fetchCount_ >= 3 * config_.fetchWidth)
+        return ~Cycle{0};
+    Cycle at = std::max(cycle_, fetchResumeCycle_);
+    const auto period = static_cast<Cycle>(fetchInterval_);
+    if (fetchInterval_ > 1 && at % period != 0)
+        at += period - at % period;
+    return at;
+}
+
 void
 OooCore::doFetch(ActivityRecord& activity)
 {
-    if (fetchBlocked_ || cycle_ < fetchResumeCycle_)
+    if (nextFetchCycle() != cycle_)
         return;
-    if (fetchInterval_ > 1 &&
-        cycle_ % static_cast<Cycle>(fetchInterval_) != 0) {
-        return; // thermally throttled
-    }
-    if (fetchCount_ >= 3 * config_.fetchWidth)
-        return; // fetch buffer full
     ++activity.l1iAccesses;
-    // Bulk-copy the fetch group straight from the generator's batch
-    // ring (span memcpy per field array) instead of gathering and
-    // re-scattering one MicroOp at a time. A group stops early at a
+    // Copy the fetch group straight from the generator's batch ring
+    // in one loop over the field arrays (at most fetchWidth ops: too
+    // few for libc copies to pay off). A group stops early at a
     // mispredicted branch (always a Branch-class slot: the generator
     // sets the mispred bit only for branches) or at a batch-ring
     // refill boundary; the loop re-enters after either.
@@ -464,17 +472,24 @@ OooCore::doFetch(ActivityRecord& activity)
             // Contiguous in both rings: stop at either wrap.
             const int seg = std::min(k - copied, fetchCap_ - tail);
             const int src = v.next + copied;
-            const auto at = static_cast<std::size_t>(tail);
-            const auto cnt = static_cast<std::size_t>(seg);
-            std::memcpy(fetchSeq_ + at, v.seq + src, cnt * 8);
-            std::memcpy(fetchSrc0_ + at, v.src0 + src, cnt * 8);
-            std::memcpy(fetchSrc1_ + at, v.src1 + src, cnt * 8);
-            std::memcpy(fetchLine_ + at, v.line + src, cnt * 8);
-            std::memcpy(fetchCls_ + at, v.cls + src, cnt);
-            std::memcpy(fetchNumSrcs_ + at, v.numSrcs + src, cnt);
+            // Local pointers: the byte stores may alias any member.
+            std::uint64_t* const seq = fetchSeq_;
+            std::uint64_t* const src0 = fetchSrc0_;
+            std::uint64_t* const src1 = fetchSrc1_;
+            std::uint64_t* const line = fetchLine_;
+            std::uint8_t* const cls = fetchCls_;
+            std::uint8_t* const num_srcs = fetchNumSrcs_;
+            std::uint8_t* const flags = fetchFlags_;
             for (int i = 0; i < seg; ++i) {
                 const int slot = src + i;
-                fetchFlags_[at + static_cast<std::size_t>(i)] =
+                const int at = tail + i;
+                seq[at] = v.seq[slot];
+                src0[at] = v.src0[slot];
+                src1[at] = v.src1[slot];
+                line[at] = v.line[slot];
+                cls[at] = v.cls[slot];
+                num_srcs[at] = v.numSrcs[slot];
+                flags[at] =
                     static_cast<std::uint8_t>(
                         (((v.hasDest >> slot) & 1) != 0
                              ? kFetchHasDest
@@ -530,10 +545,48 @@ OooCore::tick(ActivityRecord& activity)
     ++activity.cycles;
 }
 
-void
-OooCore::stallCycle(ActivityRecord& activity)
+std::uint64_t
+OooCore::idleRun(Cycle end) const
 {
-    stallCycles(1, activity);
+    // Nothing to write back, commit (the head has not completed),
+    // compact, issue or dispatch, and fetch waits.
+    const std::uint64_t slot = cycle_ & wheelMask_;
+    if (wheelCount_[slot] != 0 ||
+        (robCount_ > 0 &&
+         ((robCompleted_[robHead_ >> 6] >> (robHead_ & 63)) & 1)) ||
+        !intIq_.quiescent() || !fpIq_.quiescent() || !dispatchStalled())
+        return 0;
+    const Cycle fetch_at = nextFetchCycle();
+    if (fetch_at == cycle_)
+        return 0;
+    // Run to the next due completion by doWriteback's slot rule
+    // (completions a cooling stall left in the wheel fall due where
+    // tick() drains them), the next fetch, or the end, whichever is
+    // first.
+    const std::uint64_t limit =
+        std::min({end, fetch_at, cycle_ + wheelMask_ + 1}) - cycle_;
+    std::uint64_t n = 1;
+    while (n < limit && wheelCount_[(slot + n) & wheelMask_] == 0)
+        ++n;
+    return n;
+}
+
+void
+OooCore::advance(std::uint64_t cycles, ActivityRecord& activity)
+{
+    const Cycle end = cycle_ + cycles;
+    while (cycle_ < end) {
+        const std::uint64_t n = idleRun(end);
+        if (n == 0) {
+            tick(activity);
+            continue;
+        }
+        // What n idle tick() calls would charge.
+        intIq_.chargeCycles(n, activity);
+        fpIq_.chargeCycles(n, activity);
+        cycle_ += n;
+        activity.cycles += n;
+    }
 }
 
 void

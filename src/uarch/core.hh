@@ -9,6 +9,11 @@
  * about temperature; the DTM layer steers it through the exposed
  * control surface (issue-queue mode toggling, FU turnoff masks,
  * register-file mapping, round-robin select, stall cycles).
+ *
+ * advance(n) runs a sampling interval: it ticks busy cycles and
+ * jumps over each idle run (cycles that could only move the
+ * per-cycle counters) in one step, leaving the same state and
+ * activity as n tick() calls.
  */
 
 #ifndef TEMPEST_UARCH_CORE_HH
@@ -54,13 +59,15 @@ class OooCore
     /** Simulate one cycle, accumulating activity. */
     void tick(ActivityRecord& activity);
 
-    /**
-     * Advance one thermally-stalled cycle: no fetch, issue or
-     * commit; only cycle/stall accounting (clocks gated).
-     */
-    void stallCycle(ActivityRecord& activity);
+    /** Simulate `cycles` cycles: tick() the busy ones and jump over
+     * idle runs in closed form (see the file comment). */
+    void advance(std::uint64_t cycles, ActivityRecord& activity);
 
-    /** Advance n stalled cycles at once (stop-go cooling). */
+    /**
+     * Advance n thermally-stalled cycles at once (stop-go cooling):
+     * no fetch, issue or commit; only cycle/stall accounting
+     * (clocks gated).
+     */
     void stallCycles(std::uint64_t n, ActivityRecord& activity);
 
     Cycle cycle() const { return cycle_; }
@@ -144,8 +151,19 @@ class OooCore
     void doDispatch(ActivityRecord& activity);
     void doFetch(ActivityRecord& activity);
 
-    /** @return true if a producer seq is already complete. */
-    bool producerReady(std::uint64_t producer_seq) const;
+    /** @return true if dispatch stops at the first fetch-buffer
+     * entry (none, ROB full, LSQ full for a memory op, or no tail
+     * slot in its queue). */
+    bool dispatchStalled() const;
+
+    /** First cycle from now on which fetch runs, with the front
+     * end as it is; ~0 while it waits on writeback or dispatch. */
+    Cycle nextFetchCycle() const;
+
+    /** Cycles from now that would change only the per-cycle
+     * counters, up to the next due completion, the next fetch or
+     * `end` (0 if this cycle is busy). */
+    std::uint64_t idleRun(Cycle end) const;
 
     /** Schedule a completion `latency` cycles from now. */
     void schedule(const Completion& completion, int latency);
@@ -205,8 +223,7 @@ class OooCore
 
     // Completed-producer ring (sized beyond any in-flight window),
     // one bit per sequence number: word (seq & mask) / 64, bit
-    // (seq & mask) % 64. The wakeup scoreboard tests these bits
-    // directly.
+    // (seq & mask) % 64. Dispatch tests these bits.
     std::uint64_t* done_ = nullptr; // ckpt:bulk(core-soa)
     static constexpr std::uint64_t doneMask_ = 4095;
 
@@ -256,6 +273,25 @@ class OooCore
 
     // ckpt:skip(per-cycle scratch, fully overwritten before use)
     std::vector<Grant> grantScratch_;
+    // ckpt:skip(per-cycle scratch: a wheel slot's result seqs)
+    std::uint64_t* wakeScratch_ = nullptr;
+    // Select eligibility, logical-order masks of the queues' bitmap
+    // words: every integer tree takes any entry (the integer queue
+    // holds only integer-class ops, which every integer ALU
+    // executes) and memory ops share the L1D ports; the FP adders
+    // take FpAdd and the multiplier FpMul.
+    // ckpt:skip(per-cycle scratch, rebuilt by every select)
+    std::vector<std::uint64_t> selectMasks_;
+    // ckpt:skip(per-cycle scratch: points into selectMasks_)
+    std::uint64_t* memMask_ = nullptr;
+    // ckpt:skip(per-cycle scratch: points into selectMasks_)
+    std::uint64_t* fpAddMask_ = nullptr;
+    // ckpt:skip(per-cycle scratch: points into selectMasks_)
+    std::uint64_t* fpMulMask_ = nullptr;
+    // ckpt:skip(derived: per-tree pointers into selectMasks_)
+    std::vector<const std::uint64_t*> intElig_;
+    // ckpt:skip(derived: per-tree pointers into selectMasks_)
+    std::vector<const std::uint64_t*> fpElig_;
 };
 
 } // namespace tempest

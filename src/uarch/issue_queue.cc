@@ -4,11 +4,124 @@
 #include <bit>
 #include <cstring>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "common/log.hh"
 #include "sim/checkpoint/stateio.hh"
 
 namespace tempest
 {
+
+namespace
+{
+
+/** Slots per bitmap word; the tag and class arrays are padded to
+ * whole words, so a vector load at any slot below the padded end
+ * stays inside them. */
+constexpr int kWordSlots = 64;
+
+/**
+ * Tag hits of one bitmap word's slots: bit i of hit0 (hit1) is set
+ * iff bit i of care0 (care1) is set and tags0[i] (tags1[i]) equals
+ * the low 16 bits of one of seqs[0..n). The scalar twin of
+ * tagHits().
+ */
+void
+tagHitsScalar(const std::uint16_t* tags0, const std::uint16_t* tags1,
+              std::uint64_t care0, std::uint64_t care1,
+              const std::uint64_t* seqs, int n, std::uint64_t& hit0,
+              std::uint64_t& hit1)
+{
+    const auto hits = [seqs, n](const std::uint16_t* tags,
+                                std::uint64_t care) {
+        std::uint64_t out = 0;
+        for (std::uint64_t m = care; m != 0; m &= m - 1) {
+            const int i = std::countr_zero(m);
+            for (int t = 0; t < n; ++t) {
+                if (tags[i] == static_cast<std::uint16_t>(seqs[t]))
+                    out |= 1ULL << i;
+            }
+        }
+        return out;
+    };
+    hit0 = hits(tags0, care0);
+    hit1 = hits(tags1, care1);
+}
+
+#if defined(__SSE2__)
+/** tagHitsScalar() sixteen slots at a time: per 16-slot group with a
+ * `care` bit, the four tag vectors load once, every seq is compared
+ * against all of them (8 lanes per compare), and the accumulated
+ * lanes pack into one byte mask per source. */
+void
+tagHits(const std::uint16_t* tags0, const std::uint16_t* tags1,
+        std::uint64_t care0, std::uint64_t care1,
+        const std::uint64_t* seqs, int n, std::uint64_t& hit0,
+        std::uint64_t& hit1)
+{
+    hit0 = 0;
+    hit1 = 0;
+    const std::uint64_t care = care0 | care1;
+    for (int g = 0; g < kWordSlots; g += 16) {
+        if (((care >> g) & 0xffff) == 0)
+            continue;
+        const auto* at0 = reinterpret_cast<const __m128i*>(tags0 + g);
+        const auto* at1 = reinterpret_cast<const __m128i*>(tags1 + g);
+        const __m128i t0lo = _mm_loadu_si128(at0);
+        const __m128i t0hi = _mm_loadu_si128(at0 + 1);
+        const __m128i t1lo = _mm_loadu_si128(at1);
+        const __m128i t1hi = _mm_loadu_si128(at1 + 1);
+        __m128i e0lo = _mm_setzero_si128();
+        __m128i e0hi = _mm_setzero_si128();
+        __m128i e1lo = _mm_setzero_si128();
+        __m128i e1hi = _mm_setzero_si128();
+        for (int t = 0; t < n; ++t) {
+            const __m128i key =
+                _mm_set1_epi16(static_cast<short>(seqs[t]));
+            e0lo = _mm_or_si128(e0lo, _mm_cmpeq_epi16(t0lo, key));
+            e0hi = _mm_or_si128(e0hi, _mm_cmpeq_epi16(t0hi, key));
+            e1lo = _mm_or_si128(e1lo, _mm_cmpeq_epi16(t1lo, key));
+            e1hi = _mm_or_si128(e1hi, _mm_cmpeq_epi16(t1hi, key));
+        }
+        const auto bytes = [](__m128i lo, __m128i hi) {
+            return static_cast<std::uint64_t>(static_cast<std::uint32_t>(
+                _mm_movemask_epi8(_mm_packs_epi16(lo, hi))));
+        };
+        hit0 |= bytes(e0lo, e0hi) << g;
+        hit1 |= bytes(e1lo, e1hi) << g;
+    }
+    hit0 &= care0;
+    hit1 &= care1;
+}
+
+/** Bits i < n (n <= 64) with lo <= cls[i] <= hi, sixteen slots at
+ * a time: an unsigned range test (cls - lo <= hi - lo) per byte
+ * lane. */
+std::uint64_t
+classBits(const std::uint8_t* cls, int n, std::uint8_t lo,
+          std::uint8_t hi)
+{
+    const __m128i base = _mm_set1_epi8(static_cast<char>(lo));
+    const __m128i span = _mm_set1_epi8(static_cast<char>(hi - lo));
+    std::uint64_t bits = 0;
+    for (int g = 0; g < n; g += 16) {
+        const __m128i d = _mm_sub_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(cls + g)),
+            base);
+        const __m128i in = _mm_cmpeq_epi8(_mm_min_epu8(d, span), d);
+        bits |= static_cast<std::uint64_t>(
+                    static_cast<std::uint32_t>(_mm_movemask_epi8(in)))
+                << g;
+    }
+    return n >= 64 ? bits : bits & ((1ULL << n) - 1);
+}
+#else
+constexpr auto tagHits = tagHitsScalar;
+#endif
+
+} // namespace
 
 IssueQueue::IssueQueue(int num_entries, int issue_width,
                        QueueKind kind, Arena* arena)
@@ -18,19 +131,20 @@ IssueQueue::IssueQueue(int num_entries, int issue_width,
 {
     if (num_entries < 2 || num_entries % 2 != 0)
         fatal("issue queue size must be even and >= 2");
-    if (num_entries > kWatchSlots)
-        fatal("issue queue size exceeds the watch-index capacity");
     if (issue_width < 1)
         fatal("issue width must be >= 1");
     Arena& a = arena != nullptr ? *arena : ownArena_;
     const auto n = static_cast<std::size_t>(size_);
     const auto w = static_cast<std::size_t>(words_);
+    const std::size_t padded = w * kWordSlots;
     seq_ = a.alloc<std::uint64_t>(n);
     src0_ = a.alloc<std::uint64_t>(n);
     src1_ = a.alloc<std::uint64_t>(n);
     lineAddr_ = a.alloc<std::uint64_t>(n);
-    cls_ = a.alloc<std::uint8_t>(n);
+    cls_ = a.alloc<std::uint8_t>(padded);
     numSrcs_ = a.alloc<std::uint8_t>(n);
+    tag0_ = a.alloc<std::uint16_t>(padded);
+    tag1_ = a.alloc<std::uint16_t>(padded);
     validBits_ = a.alloc<std::uint64_t>(w);
     pendingBits_ = a.alloc<std::uint64_t>(w);
     hasDestBits_ = a.alloc<std::uint64_t>(w);
@@ -38,12 +152,6 @@ IssueQueue::IssueQueue(int num_entries, int issue_width,
     needsBits_[0] = a.alloc<std::uint64_t>(w);
     needsBits_[1] = a.alloc<std::uint64_t>(w);
     ready_ = a.alloc<std::uint64_t>(w);
-    watchHead_ = a.alloc<std::int16_t>(
-        static_cast<std::size_t>(kWatchSlots));
-    nodeNext_ = a.alloc<std::int16_t>(2 * n);
-    watchSeq_ = a.alloc<std::uint64_t>(2 * n);
-    watchK_ = a.alloc<std::uint8_t>(2 * n);
-    rebuildWatch();
 }
 
 IqEntry
@@ -117,49 +225,56 @@ IssueQueue::canDispatch() const
 void
 IssueQueue::dispatch(const IqEntry& entry, ActivityRecord& activity)
 {
+    dispatchFields(entry.seq, entry.cls, entry.numSrcs, entry.src[0],
+                   entry.src[1], entry.numSrcs > 0 && !entry.srcReady[0],
+                   entry.numSrcs > 1 && !entry.srcReady[1],
+                   entry.hasDest, entry.mispredicted, entry.lineAddr,
+                   activity);
+}
+
+void
+IssueQueue::dispatchFields(std::uint64_t seq, OpClass cls,
+                           int num_srcs, std::uint64_t src0,
+                           std::uint64_t src1, bool wait0, bool wait1,
+                           bool has_dest, bool mispredicted,
+                           std::uint64_t line_addr,
+                           ActivityRecord& activity)
+{
     if (tailLogical_ >= size_)
         fatal("dispatch into a queue with no tail slot; check "
               "canDispatch() first");
     const int phys = physOfLogical(tailLogical_);
-    seq_[phys] = entry.seq;
-    cls_[phys] = static_cast<std::uint8_t>(entry.cls);
-    numSrcs_[phys] = static_cast<std::uint8_t>(entry.numSrcs);
-    src0_[phys] = entry.src[0];
-    src1_[phys] = entry.src[1];
-    lineAddr_[phys] = entry.lineAddr;
-    setBit(validBits_, phys);
-    clearBit(pendingBits_, phys);
-    if (entry.hasDest)
-        setBit(hasDestBits_, phys);
-    else
-        clearBit(hasDestBits_, phys);
-    if (entry.mispredicted)
-        setBit(mispredBits_, phys);
-    else
-        clearBit(mispredBits_, phys);
-    const bool waits0 = entry.numSrcs > 0 && !entry.srcReady[0];
-    const bool waits1 = entry.numSrcs > 1 && !entry.srcReady[1];
-    if (waits0) {
-        setBit(needsBits_[0], phys);
-        watchAdd(entry.seq, 0, entry.src[0]);
-    } else {
-        clearBit(needsBits_[0], phys);
-    }
-    if (waits1) {
-        setBit(needsBits_[1], phys);
-        watchAdd(entry.seq, 1, entry.src[1]);
-    } else {
-        clearBit(needsBits_[1], phys);
-    }
-    if (!waits0 && !waits1)
-        setReadyBit(tailLogical_);
+    const int half = halfOfPhys(phys);
+    seq_[phys] = seq;
+    cls_[phys] = static_cast<std::uint8_t>(cls);
+    numSrcs_[phys] = static_cast<std::uint8_t>(num_srcs);
+    src0_[phys] = src0;
+    src1_[phys] = src1;
+    tag0_[phys] = static_cast<std::uint16_t>(src0);
+    tag1_[phys] = static_cast<std::uint16_t>(src1);
+    lineAddr_[phys] = line_addr;
+    const int w = phys >> 6;
+    const int b = phys & 63;
+    const std::uint64_t bit = 1ULL << b;
+    const auto put = [w, b, bit](std::uint64_t* map, bool on) {
+        map[w] = (map[w] & ~bit) | (static_cast<std::uint64_t>(on) << b);
+    };
+    validBits_[w] |= bit;
+    pendingBits_[w] &= ~bit;
+    put(hasDestBits_, has_dest);
+    put(mispredBits_, mispredicted);
+    put(needsBits_[0], wait0);
+    put(needsBits_[1], wait1);
+    ready_[tailLogical_ >> 6] |=
+        static_cast<std::uint64_t>(!(wait0 || wait1))
+        << (tailLogical_ & 63);
     ++tailLogical_;
     ++count_;
-    ++halfCount_[halfOfPhys(phys)];
+    ++halfCount_[half];
     // Payload RAM write plus the entry write itself, charged to
     // the physical half that receives the dispatch.
     ++activity.iqPayloadAccesses[queueIndex()];
-    ++activity.iqDispatchWrites[queueIndex()][halfOfPhys(phys)];
+    ++activity.iqDispatchWrites[queueIndex()][half];
 }
 
 void
@@ -177,68 +292,90 @@ IssueQueue::broadcastMany(const std::uint64_t* producer_seqs, int n,
         return;
     activity.iqTagBroadcasts[queueIndex()] +=
         static_cast<std::uint64_t>(n);
-    for (int t = 0; t < n; ++t)
-        wakeMatching(producer_seqs[t]);
-}
-
-int
-IssueQueue::physBySeq(std::uint64_t seq, int k) const
-{
-    // A waiting entry is a set bit in needsBits_[k]; match on seq.
-    // No position-derived shortcut is safe here: a mode toggle
-    // rotates logical order without moving entries, so seq_ is not
-    // sorted along logical positions after one.
-    for (int w = 0; w < words_; ++w) {
-        std::uint64_t bits = needsBits_[k][w];
-        while (bits != 0) {
-            const int phys =
-                w * 64 + std::countr_zero(bits);
-            bits &= bits - 1;
-            if (seq_[phys] == seq)
-                return phys;
-        }
-    }
-    return -1;
+    wakeup(producer_seqs, n);
 }
 
 void
-IssueQueue::wakeMatching(std::uint64_t producer_seq)
+IssueQueue::wakeupImpl(const std::uint64_t* producer_seqs, int n,
+                       bool force_scalar)
 {
-    const auto pslot =
-        static_cast<std::size_t>(producer_seq) & (kWatchSlots - 1);
-    std::int16_t node = watchHead_[pslot];
-    if (node < 0)
+    if (n <= 0)
         return;
-    // Pop every node on this producer slot's chain; nodes whose
-    // full tag does not match (slot collision between distinct
-    // seqs) are re-linked onto the rebuilt chain. Chain order is
-    // irrelevant — the ready/waiting maps are sets.
-    std::int16_t keep = -1;
-    while (node >= 0) {
-        const std::int16_t nxt = nodeNext_[node];
-        const int k = watchK_[node];
-        const int phys = physBySeq(watchSeq_[node], k);
-        const bool waiting = phys >= 0;
-        if (waiting &&
-            (k ? src1_[phys] : src0_[phys]) == producer_seq) {
-            clearBit(needsBits_[k], phys);
-            nodeNext_[node] = nodeFreeHead_;
-            nodeFreeHead_ = node;
-            if (!testBit(needsBits_[k ^ 1], phys))
-                setReadyBit(logicalOfPhys(phys));
-        } else if (!waiting) {
-            // Stale node (the entry left the queue, or its needs
-            // bit was cleared by a path that bypassed the index):
-            // reclaim it.
-            nodeNext_[node] = nodeFreeHead_;
-            nodeFreeHead_ = node;
-        } else {
-            nodeNext_[node] = keep;
-            keep = node;
+    // A tag hit is a real one only if the whole seq matches. When
+    // every completing seq shares its bits above the tag (all but
+    // a cycle that crosses a 2^16 boundary), that is one compare of
+    // the source's high bits; otherwise search the list.
+    const auto* seqs_end = producer_seqs + n;
+    const std::uint64_t high = producer_seqs[0] >> 16;
+    bool one_high = true;
+    for (int t = 1; t < n; ++t)
+        one_high &= (producer_seqs[t] >> 16) == high;
+    const auto confirm = [&](std::uint64_t& hit,
+                             const std::uint64_t* src) {
+        for (std::uint64_t m = hit; m != 0; m &= m - 1) {
+            const int i = std::countr_zero(m);
+            const bool real =
+                one_high ? (src[i] >> 16) == high
+                         : std::find(producer_seqs, seqs_end, src[i]) !=
+                               seqs_end;
+            if (!real)
+                hit &= ~(1ULL << i);
         }
-        node = nxt;
+    };
+    for (int w = 0; w < words_; ++w) {
+        std::uint64_t need0 = needsBits_[0][w];
+        std::uint64_t need1 = needsBits_[1][w];
+        if ((need0 | need1) == 0)
+            continue;
+        const auto base = static_cast<std::size_t>(w) * kWordSlots;
+        std::uint64_t hit0;
+        std::uint64_t hit1;
+        if (force_scalar)
+            tagHitsScalar(tag0_ + base, tag1_ + base, need0, need1,
+                          producer_seqs, n, hit0, hit1);
+        else
+            tagHits(tag0_ + base, tag1_ + base, need0, need1,
+                    producer_seqs, n, hit0, hit1);
+        confirm(hit0, src0_ + base);
+        confirm(hit1, src1_ + base);
+        need0 &= ~hit0;
+        need1 &= ~hit1;
+        needsBits_[0][w] = need0;
+        needsBits_[1][w] = need1;
+        // Entries left waiting on nothing become ready.
+        std::uint64_t woke = (hit0 | hit1) & ~(need0 | need1);
+        if (words_ == 1) {
+            ready_[0] |= logicalWord(woke);
+            continue;
+        }
+        for (; woke != 0; woke &= woke - 1) {
+            setReadyBit(logicalOfPhys(static_cast<int>(base) +
+                                      std::countr_zero(woke)));
+        }
     }
-    watchHead_[pslot] = keep;
+}
+
+void
+IssueQueue::classMaskImpl(OpClass lo, OpClass hi, std::uint64_t* out,
+                          bool force_scalar) const
+{
+    const auto l = static_cast<std::uint8_t>(lo);
+    const auto h = static_cast<std::uint8_t>(hi);
+#if defined(__SSE2__)
+    if (words_ == 1 && !force_scalar) {
+        out[0] = logicalWord(classBits(cls_, size_, l, h));
+        return;
+    }
+#endif
+    // The scalar twin walks logical positions directly.
+    for (int w = 0; w < words_; ++w)
+        out[w] = 0;
+    for (int i = 0; i < size_; ++i) {
+        const auto d =
+            static_cast<std::uint8_t>(cls_[physOfLogical(i)] - l);
+        out[i >> 6] |= static_cast<std::uint64_t>(d <= h - l)
+                       << (i & 63);
+    }
 }
 
 void
@@ -253,43 +390,25 @@ IssueQueue::chargeWakeup(int n_tags, ActivityRecord& activity)
 }
 
 void
-IssueQueue::watchAdd(std::uint64_t consumer_seq, int k,
-                     std::uint64_t producer_seq)
+IssueQueue::chargeCycles(std::uint64_t n,
+                         ActivityRecord& activity) const
 {
-    const std::int16_t node = nodeFreeHead_;
-    if (node < 0)
-        panic("issue-queue watch node pool exhausted");
-    nodeFreeHead_ = nodeNext_[node];
-    watchSeq_[node] = consumer_seq;
-    watchK_[node] = static_cast<std::uint8_t>(k);
-    const auto pslot =
-        static_cast<std::size_t>(producer_seq) & (kWatchSlots - 1);
-    nodeNext_[node] = watchHead_[pslot];
-    watchHead_[pslot] = node;
+    // The clock-gating control logic runs every cycle, and the
+    // valid entries burn leakage whether or not anything moves.
+    const int q = queueIndex();
+    activity.iqClockGateCycles[q] += n;
+    activity.iqOccupiedCycles[q][0] +=
+        n * static_cast<std::uint64_t>(halfCount_[0]);
+    activity.iqOccupiedCycles[q][1] +=
+        n * static_cast<std::uint64_t>(halfCount_[1]);
 }
 
 void
-IssueQueue::rebuildWatch()
+IssueQueue::rebuildTags()
 {
-    std::memset(watchHead_, 0xff,
-                static_cast<std::size_t>(kWatchSlots) *
-                    sizeof(std::int16_t));
-    const int num_nodes = 2 * size_;
-    for (int j = 0; j < num_nodes; ++j) {
-        nodeNext_[j] = static_cast<std::int16_t>(
-            j + 1 < num_nodes ? j + 1 : -1);
-    }
-    nodeFreeHead_ = 0;
-    for (int w = 0; w < words_; ++w) {
-        std::uint64_t m = needsBits_[0][w] | needsBits_[1][w];
-        while (m != 0) {
-            const int phys = w * 64 + std::countr_zero(m);
-            m &= m - 1;
-            if (testBit(needsBits_[0], phys))
-                watchAdd(seq_[phys], 0, src0_[phys]);
-            if (testBit(needsBits_[1], phys))
-                watchAdd(seq_[phys], 1, src1_[phys]);
-        }
+    for (int p = 0; p < size_; ++p) {
+        tag0_[p] = static_cast<std::uint16_t>(src0_[p]);
+        tag1_[p] = static_cast<std::uint16_t>(src1_[p]);
     }
 }
 
@@ -311,40 +430,22 @@ IssueQueue::markIssued(int phys_idx, ActivityRecord& activity)
 }
 
 void
-IssueQueue::compactStep(ActivityRecord& activity)
-{
-    compactStepImpl(activity, false);
-}
-
-void
 IssueQueue::compactStepImpl(ActivityRecord& activity,
                             bool force_generic)
 {
-    const int q = queueIndex();
-
-    // Clock-gating control logic runs every cycle.
-    ++activity.iqClockGateCycles[q];
-
     // Early out when there is nothing to compact: no entries were
     // issued last cycle and the occupied region is hole-free
     // (tail == valid count). The full pass below would then only
     // rebuild the ready/waiting bitmaps with identical contents —
     // they are kept consistent incrementally by dispatch(),
-    // markIssued() and wakeMatching() instead. Occupancy
-    // accounting still runs: the valid entries burn leakage
-    // whether or not anything moves.
+    // markIssued() and wakeup() instead.
     if (pendingInvalidCount_ != 0 || tailLogical_ != count_) {
         if (words_ == 1 && !force_generic)
             compactWordPass(activity);
         else
             compactGenericPass(activity);
     }
-
-    // Idle/leakage accounting: valid entry-cycles per half.
-    activity.iqOccupiedCycles[q][0] +=
-        static_cast<std::uint64_t>(halfCount_[0]);
-    activity.iqOccupiedCycles[q][1] +=
-        static_cast<std::uint64_t>(halfCount_[1]);
+    chargeCycles(1, activity);
 }
 
 void
@@ -377,11 +478,7 @@ IssueQueue::compactWordPass(ActivityRecord& activity)
 
     // Valid map in logical (priority) order; in toggled mode the
     // physical slots are the logical positions rotated by half_.
-    std::uint64_t log_valid = valid;
-    if (mode_ == CompactionMode::Toggled)
-        log_valid = ((valid >> half_) |
-                     (valid << (size_ - half_))) &
-                    mask64(size_);
+    const std::uint64_t log_valid = logicalWord(valid);
     const std::uint64_t holes = ~log_valid & mask64(tailLogical_);
     if (holes == 0) {
         validBits_[0] = valid;
@@ -391,11 +488,29 @@ IssueQueue::compactWordPass(ActivityRecord& activity)
     // The prefix below the first hole stays put; every maximal run
     // of valid entries above it shifts down by one constant amount
     // (min(gaps below, issueWidth)), so each run moves with one
-    // memmove per field array and one mask shift per bitmap.
+    // copy loop over the field arrays and one mask shift per
+    // bitmap.
     // Gaps-below is nondecreasing in logical order, so destination
     // ranges never collide with unprocessed sources (the same
     // argument that makes the per-entry reference pass in-place
     // safe).
+    // Local copies of the array pointers: the byte stores below may
+    // alias any member, which would reload each pointer per entry.
+    std::uint64_t* const seq = seq_;
+    std::uint64_t* const src0 = src0_;
+    std::uint64_t* const src1 = src1_;
+    std::uint64_t* const line = lineAddr_;
+    std::uint8_t* const cls = cls_;
+    std::uint8_t* const num_srcs = numSrcs_;
+    std::uint16_t* const tag0 = tag0_;
+    std::uint16_t* const tag1 = tag1_;
+    // Per-half charges accumulate in locals (the byte stores may
+    // alias `activity` too) and are written once at the end:
+    // entries that moved or wrapped from each half, and entries
+    // each half received.
+    std::uint64_t moved[2] = {0, 0};
+    std::uint64_t wrapped_from[2] = {0, 0};
+    std::uint64_t received[2] = {0, 0};
     int last_valid = -1;
     const int first_hole = std::countr_zero(holes);
     if (first_hole > 0)
@@ -439,16 +554,22 @@ IssueQueue::compactWordPass(ActivityRecord& activity)
             const int qa = physOfLogical(x - shift);
             const bool wrapped = qa > pa;
 
-            const auto src = static_cast<std::size_t>(pa);
-            const auto dst = static_cast<std::size_t>(qa);
-            const auto cnt = static_cast<std::size_t>(seg);
-            std::memmove(seq_ + dst, seq_ + src, cnt * 8);
-            std::memmove(src0_ + dst, src0_ + src, cnt * 8);
-            std::memmove(src1_ + dst, src1_ + src, cnt * 8);
-            std::memmove(lineAddr_ + dst, lineAddr_ + src,
-                         cnt * 8);
-            std::memmove(cls_ + dst, cls_ + src, cnt);
-            std::memmove(numSrcs_ + dst, numSrcs_ + src, cnt);
+            // One ascending loop, no libc call: a run is a few
+            // entries. In place is safe, as the destination lies
+            // below the source or (a wrapped segment, where
+            // seg + shift <= size) does not overlap it.
+            for (int i = 0; i < seg; ++i) {
+                const int from = pa + i;
+                const int to = qa + i;
+                seq[to] = seq[from];
+                src0[to] = src0[from];
+                src1[to] = src1[from];
+                line[to] = line[from];
+                cls[to] = cls[from];
+                num_srcs[to] = num_srcs[from];
+                tag0[to] = tag0[from];
+                tag1[to] = tag1[from];
+            }
 
             const std::uint64_t sm = mask64(seg);
             valid = (valid & ~(sm << pa)) | (sm << qa);
@@ -470,30 +591,26 @@ IssueQueue::compactWordPass(ActivityRecord& activity)
             const int dst_h0 =
                 std::max(0, std::min(qa + seg, half_) - qa);
             const int dst_h1 = seg - dst_h0;
-            if (wrapped) {
-                activity.iqLongCompactions[q][0] +=
-                    static_cast<std::uint64_t>(src_h0);
-                activity.iqLongCompactions[q][1] +=
-                    static_cast<std::uint64_t>(src_h1);
-            } else {
-                activity.iqEntryMoves[q][0] +=
-                    static_cast<std::uint64_t>(src_h0);
-                activity.iqEntryMoves[q][1] +=
-                    static_cast<std::uint64_t>(src_h1);
-            }
-            activity.iqMuxSelects[q][0] +=
-                static_cast<std::uint64_t>(dst_h0);
-            activity.iqMuxSelects[q][1] +=
-                static_cast<std::uint64_t>(dst_h1);
-            activity.iqCounterOps[q][0] +=
-                static_cast<std::uint64_t>(src_h0);
-            activity.iqCounterOps[q][1] +=
-                static_cast<std::uint64_t>(src_h1);
-            halfCount_[0] += dst_h0 - src_h0;
-            halfCount_[1] += dst_h1 - src_h1;
+            std::uint64_t* from = wrapped ? wrapped_from : moved;
+            from[0] += static_cast<std::uint64_t>(src_h0);
+            from[1] += static_cast<std::uint64_t>(src_h1);
+            received[0] += static_cast<std::uint64_t>(dst_h0);
+            received[1] += static_cast<std::uint64_t>(dst_h1);
             x = y;
         }
         last_valid = dst_a + len - 1;
+    }
+    for (int h = 0; h < 2; ++h) {
+        // A wrapped move travels the long wires; every moving entry
+        // drives its invalids-counter stage, and the receiving
+        // entry its cross-queue mux selects.
+        const std::uint64_t left = moved[h] + wrapped_from[h];
+        activity.iqEntryMoves[q][h] += moved[h];
+        activity.iqLongCompactions[q][h] += wrapped_from[h];
+        activity.iqCounterOps[q][h] += left;
+        activity.iqMuxSelects[q][h] += received[h];
+        halfCount_[h] += static_cast<int>(received[h]) -
+                         static_cast<int>(left);
     }
     tailLogical_ = last_valid + 1;
     validBits_[0] = valid;
@@ -570,6 +687,8 @@ IssueQueue::compactGenericPass(ActivityRecord& activity)
         numSrcs_[dst_p] = numSrcs_[p];
         src0_[dst_p] = src0_[p];
         src1_[dst_p] = src1_[p];
+        tag0_[dst_p] = tag0_[p];
+        tag1_[dst_p] = tag1_[p];
         lineAddr_[dst_p] = lineAddr_[p];
         setBit(validBits_, dst_p);
         clearBit(validBits_, p);
@@ -608,31 +727,6 @@ IssueQueue::toggleMode()
     // physically indexed and unaffected.
     recomputeTail();
     rebuildReadyBits();
-}
-
-void
-IssueQueue::clear()
-{
-    const auto n = static_cast<std::size_t>(size_);
-    const auto wb = static_cast<std::size_t>(words_) * 8;
-    std::memset(seq_, 0, n * 8);
-    std::memset(src0_, 0, n * 8);
-    std::memset(src1_, 0, n * 8);
-    std::memset(lineAddr_, 0, n * 8);
-    std::memset(cls_, 0, n);
-    std::memset(numSrcs_, 0, n);
-    std::memset(validBits_, 0, wb);
-    std::memset(pendingBits_, 0, wb);
-    std::memset(hasDestBits_, 0, wb);
-    std::memset(mispredBits_, 0, wb);
-    std::memset(needsBits_[0], 0, wb);
-    std::memset(needsBits_[1], 0, wb);
-    std::memset(ready_, 0, wb);
-    count_ = 0;
-    halfCount_[0] = halfCount_[1] = 0;
-    tailLogical_ = 0;
-    pendingInvalidCount_ = 0;
-    rebuildWatch();
 }
 
 void
@@ -698,7 +792,7 @@ IssueQueue::loadState(StateReader& r)
     r.blob(needsBits_[0], wb);
     r.blob(needsBits_[1], wb);
     r.blob(ready_, wb);
-    rebuildWatch();
+    rebuildTags();
 }
 
 } // namespace tempest

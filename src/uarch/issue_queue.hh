@@ -31,8 +31,14 @@
  * an array of structs:
  *
  * - `seq_`, `src0_`/`src1_`, `lineAddr_` (u64) and `cls_`,
- *   `numSrcs_` (u8): the payload/tag arrays. Wakeup touches only
- *   the tag arrays; select touches only `cls_`.
+ *   `numSrcs_` (u8): the payload arrays.
+ * - `tag0_`/`tag1_` (u16): the low 16 bits of each source's
+ *   producer seq, the wakeup CAM's tags; derived state, moved by
+ *   compaction and rebuilt by loadState. Wakeup compares a
+ *   completing seq against every slot's tags at once and confirms
+ *   a hit against `src0_`/`src1_`; select's class masks compare
+ *   `cls_` the same way. The tag arrays and `cls_` are padded to
+ *   whole bitmap words, so the vector loads never leave them.
  * - `validBits_`/`pendingBits_`: occupancy, by physical slot.
  * - `needsBits_[s]`: bit p set iff the entry at p is waiting on
  *   source s (the set the wakeup CAM watches). The union of the
@@ -48,9 +54,9 @@
  * private one for standalone construction) and serialized as bulk
  * blob writes — see the `ckpt:bulk(iq-soa)` annotations.
  *
- * `IqEntry` remains as the dispatch descriptor and as a
- * materialized per-entry view for tests; the hot paths never build
- * one.
+ * `IqEntry` remains as a dispatch descriptor and as a materialized
+ * per-entry view for tests; the core dispatches through
+ * dispatchFields() and never builds one.
  */
 
 #ifndef TEMPEST_UARCH_ISSUE_QUEUE_HH
@@ -147,31 +153,45 @@ class IssueQueue
     void dispatch(const IqEntry& entry, ActivityRecord& activity);
 
     /**
+     * dispatch() from loose fields, the core's path straight from
+     * its fetch ring. `wait0`/`wait1`: the source's producer has not
+     * completed; an unused source holds seq 0 and never waits. The
+     * per-entry bits are written without branches.
+     */
+    void dispatchFields(std::uint64_t seq, OpClass cls, int num_srcs,
+                        std::uint64_t src0, std::uint64_t src1,
+                        bool wait0, bool wait1, bool has_dest,
+                        bool mispredicted, std::uint64_t line_addr,
+                        ActivityRecord& activity);
+
+    /**
      * Wake dependents of a completed producer: one destination-tag
-     * broadcast across all entries.
+     * broadcast across all entries (charged, then wakeup()).
      */
     void broadcast(std::uint64_t producer_seq,
                    ActivityRecord& activity);
 
     /**
      * Wake dependents of several producers that completed in the
-     * same cycle (one CAM pass, one tag-broadcast charge each).
+     * same cycle (one tag-broadcast charge each, then wakeup()).
      */
     void broadcastMany(const std::uint64_t* producer_seqs, int n,
                        ActivityRecord& activity);
 
     /**
-     * Event-driven variant of the same-cycle wakeup: wake only the
-     * entries registered in the watch index as waiting on exactly
-     * this producer, instead of scanning every waiting entry
-     * against a completed-producer scoreboard. The writeback loop
-     * calls this once per completing instruction; the modeled
-     * tag-broadcast energy for the cycle is charged separately via
-     * chargeWakeup(), so the activity accounting is identical to a
-     * CAM broadcast. Entries that become fully ready move from the
-     * waiting bitmaps to the ready bitmap.
+     * The wakeup CAM for the `n` producers completing this cycle:
+     * each seq's low 16 bits are compared against every waiting
+     * source's tag at once (SSE2 where the target has it, else
+     * the scalar twin), a hit is confirmed against the full
+     * producer seq, and an entry left waiting on nothing moves to
+     * the ready bitmap. Charges nothing; the writeback loop
+     * charges the broadcast through chargeWakeup().
      */
-    void wakeMatching(std::uint64_t producer_seq);
+    void
+    wakeup(const std::uint64_t* producer_seqs, int n)
+    {
+        wakeupImpl(producer_seqs, n, false);
+    }
 
     /**
      * Charge the cycle's tag-broadcast activity for `n_tags`
@@ -187,12 +207,25 @@ class IssueQueue
     /** Number of 64-bit words in the ready/waiting bitmaps. */
     int bitWords() const { return words_; }
 
-    /** Op class of the entry at a physical slot (select hot path;
-     * the index must come from the ready bitmap). */
+    /** Op class of the entry at a physical slot (issue hot path;
+     * the index must come from a grant). */
     OpClass
     opClassAt(int phys) const
     {
         return static_cast<OpClass>(cls_[phys]);
+    }
+
+    /**
+     * Logical-order bitmap (bitWords() words into `out`) of the
+     * slots whose op class lies in [lo, hi]; only the bits of
+     * valid entries are meaningful. One-word queues compare all of
+     * `cls_` at once (SSE2 where the target has it), larger ones
+     * run the scalar twin.
+     */
+    void
+    classMask(OpClass lo, OpClass hi, std::uint64_t* out) const
+    {
+        classMaskImpl(lo, hi, out, false);
     }
 
     /** Unchecked field reads for the issue hot path; the index
@@ -249,7 +282,31 @@ class IssueQueue
      * gating rules. Also accounts per-half occupancy and the
      * always-on clock-gate control logic. Call once per core cycle.
      */
-    void compactStep(ActivityRecord& activity);
+    void
+    compactStep(ActivityRecord& activity)
+    {
+        compactStepImpl(activity, false);
+    }
+
+    /** @return true if compactStep() would only charge its
+     * per-cycle counters and select would find nothing: no pending
+     * invalids, no holes below the tail, no ready entry. */
+    bool
+    quiescent() const
+    {
+        if (pendingInvalidCount_ != 0 || tailLogical_ != count_)
+            return false;
+        for (int w = 0; w < words_; ++w) {
+            if (ready_[w] != 0)
+                return false;
+        }
+        return true;
+    }
+
+    /** Charge `n` cycles of what compactStep() charges every cycle
+     * (clock-gate control, per-half occupancy): all that a
+     * quiescent queue's compactStep() does. */
+    void chargeCycles(std::uint64_t n, ActivityRecord& activity) const;
 
     /**
      * Flip the head/tail configuration. Physical contents stay in
@@ -309,9 +366,6 @@ class IssueQueue
         return n;
     }
 
-    /** Remove everything (used by tests). */
-    void clear();
-
     /** Serialize entries, bitmaps, mode, and bookkeeping. */
     void saveState(StateWriter& w) const;
 
@@ -348,20 +402,29 @@ class IssueQueue
         return n >= 64 ? ~0ULL : (1ULL << n) - 1;
     }
 
-    /** Register (consumer seq, source k) in the watch index as
-     * waiting on producer_seq. */
-    void watchAdd(std::uint64_t consumer_seq, int k,
-                  std::uint64_t producer_seq);
+    /** wakeup() body; force_scalar pins the scalar tag compare so
+     * the unit tests can diff it against the vector one. */
+    void wakeupImpl(const std::uint64_t* producer_seqs, int n,
+                    bool force_scalar);
 
-    /** Physical slot of the entry with the given seq that is
-     * waiting on source k, or -1. Scans the needsBits_[k] words —
-     * correct under any logical mapping (a mode toggle rotates
-     * logical order, so seq_ is NOT sorted along it). */
-    int physBySeq(std::uint64_t seq, int k) const;
+    /** classMask() body; force_scalar pins the scalar twin. */
+    void classMaskImpl(OpClass lo, OpClass hi, std::uint64_t* out,
+                       bool force_scalar) const;
 
-    /** Rebuild the watch index from the waiting bitmaps and tag
-     * arrays (constructor, clear() and loadState). */
-    void rebuildWatch();
+    /** A one-word physical-slot mask in logical order (toggled
+     * mode rotates it by half_). */
+    std::uint64_t
+    logicalWord(std::uint64_t phys_mask) const
+    {
+        if (mode_ == CompactionMode::Conventional)
+            return phys_mask;
+        return ((phys_mask >> half_) |
+                (phys_mask << (size_ - half_))) &
+               mask64(size_);
+    }
+
+    /** Recompute tag0_/tag1_ from src0_/src1_ (loadState). */
+    void rebuildTags();
 
     /** Recompute the cached tail position (one past the highest
      * occupied logical slot). */
@@ -441,8 +504,10 @@ class IssueQueue
     // ckpt:skip(allocator backing the SoA arrays, not state)
     Arena ownArena_; ///< used when the caller supplies no arena
 
-    // SoA payload/tag arrays, indexed by physical slot; arena-owned
-    // (freed when the arena dies), serialized as bulk blobs.
+    // SoA payload arrays, indexed by physical slot; arena-owned
+    // (freed when the arena dies), serialized as bulk blobs. `cls_`
+    // is padded to whole bitmap words for the vector class compare;
+    // the padding stays zero and is never serialized.
     std::uint64_t* seq_;      // ckpt:bulk(iq-soa)
     std::uint64_t* src0_;     // ckpt:bulk(iq-soa)
     std::uint64_t* src1_;     // ckpt:bulk(iq-soa)
@@ -461,28 +526,13 @@ class IssueQueue
     /** Ready entries by logical position (see file comment). */
     std::uint64_t* ready_; // ckpt:bulk(iq-soa)
 
-    // Event-driven wakeup index: per producer-seq slot (low bits),
-    // an intrusive singly-linked list of (consumer seq, source)
-    // nodes waiting on that producer. Nodes come from a free list
-    // sized 2 * size_ (an entry watches at most two sources) and
-    // name the waiting entry by its *seq*, which is stable across
-    // compaction — the passes never touch the index. wakeMatching()
-    // resolves the seq back to a slot by scanning the waiting
-    // bitmap words for a seq match; the queues are one or two
-    // words, so this costs a handful of compares and stays correct
-    // when a mode toggle rotates the logical order out from under
-    // any position-derived shortcut.
-    // Seqs hash to a slot by their low bits, so the full producer
-    // tag is verified before a needs bit clears. The whole index is
-    // derived state: rebuildWatch() reconstructs it from the
-    // waiting bitmaps and tag arrays.
-    static constexpr int kWatchSlots = 1024;
-    std::int16_t* watchHead_;  // ckpt:skip(derived, rebuildWatch)
-    std::int16_t* nodeNext_;   // ckpt:skip(derived, rebuildWatch)
-    std::uint64_t* watchSeq_;  // ckpt:skip(derived, rebuildWatch)
-    std::uint8_t* watchK_;     // ckpt:skip(derived, rebuildWatch)
-    // ckpt:skip(derived, rebuildWatch)
-    std::int16_t nodeFreeHead_ = -1;
+    // Wakeup tags: the low 16 bits of src0_/src1_ by physical slot,
+    // padded like cls_. An entry waits only on an in-flight
+    // producer, and the in-flight window is far below 2^16 seqs, so
+    // a tag hit is almost always real; wakeupImpl() still confirms
+    // it against the full seq.
+    std::uint16_t* tag0_; // ckpt:skip(derived: low bits of src0_)
+    std::uint16_t* tag1_; // ckpt:skip(derived: low bits of src1_)
 };
 
 } // namespace tempest

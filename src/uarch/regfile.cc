@@ -26,12 +26,27 @@ RegisterFile::RegisterFile(int num_copies, int num_alus,
         fatal("register file copies out of range");
     if (num_alus < 1 || num_alus % num_copies != 0)
         fatal("ALU count must divide evenly across copies");
+    if (num_alus > kMaxIntAlus)
+        fatal("register file ALU count out of range");
     rebuildCopyTables();
 }
 
 void
 RegisterFile::rebuildCopyTables()
 {
+    for (int a = 0; a < numAlus_; ++a) {
+        switch (mapping_) {
+          case PortMapping::Priority:
+            copyOfAlu_[a] = a / (numAlus_ / numCopies_);
+            break;
+          case PortMapping::Balanced:
+            copyOfAlu_[a] = a % numCopies_;
+            break;
+          case PortMapping::CompletelyBalanced:
+            copyOfAlu_[a] = 0; // reads split across copies
+            break;
+        }
+    }
     alusOfCopy_.assign(static_cast<std::size_t>(numCopies_), {});
     for (int c = 0; c < numCopies_; ++c) {
         std::vector<int>& alus =
@@ -50,16 +65,10 @@ RegisterFile::copyForAlu(int alu) const
 {
     if (alu < 0 || alu >= numAlus_)
         panic("copyForAlu: ALU index ", alu, " out of range");
-    switch (mapping_) {
-      case PortMapping::Priority:
-        return alu / (numAlus_ / numCopies_);
-      case PortMapping::Balanced:
-        return alu % numCopies_;
-      case PortMapping::CompletelyBalanced:
+    if (mapping_ == PortMapping::CompletelyBalanced)
         fatal("copyForAlu undefined under completely-balanced "
               "mapping");
-    }
-    panic("unreachable mapping");
+    return copyOfAlu_[alu];
 }
 
 const std::vector<int>&
@@ -85,7 +94,9 @@ RegisterFile::chargeReads(int alu, int num_reads,
         }
         return;
     }
-    activity.intRegReads[copyForAlu(alu)] +=
+    if (alu < 0 || alu >= numAlus_)
+        panic("chargeReads: ALU index ", alu, " out of range");
+    activity.intRegReads[copyOfAlu_[alu]] +=
         static_cast<std::uint64_t>(num_reads);
 }
 
@@ -114,8 +125,13 @@ RegisterFile::loadState(StateReader& r)
               " copies / ", alus, " ALUs, this file has ",
               numCopies_, " / ", numAlus_);
     }
-    mapping_ = static_cast<PortMapping>(r.u8());
-    setMapping(mapping_); // re-derives the copy->ALUs tables
+    const std::uint8_t mapping = r.u8();
+    if (mapping > static_cast<std::uint8_t>(
+                      PortMapping::CompletelyBalanced))
+        fatal("checkpoint register file: unknown port mapping ",
+              static_cast<int>(mapping));
+    mapping_ = static_cast<PortMapping>(mapping);
+    setMapping(mapping_); // re-derives the copy tables
 }
 
 } // namespace tempest

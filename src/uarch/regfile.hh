@@ -106,6 +106,11 @@ class RegisterFile
     PortMapping mapping_;
     // ckpt:skip(rebuilt by setMapping() from the restored mapping_)
     std::vector<std::vector<int>> alusOfCopy_;
+    /** Copy serving each ALU's reads under Priority/Balanced: the
+     * per-issue lookup of chargeReads() (unused under
+     * CompletelyBalanced). */
+    // ckpt:skip(rebuilt by setMapping() from the restored mapping_)
+    int copyOfAlu_[kMaxIntAlus] = {};
 };
 
 } // namespace tempest

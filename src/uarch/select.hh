@@ -16,11 +16,11 @@
  * The head/tail configuration of the queue is already encoded in
  * the queue's logical order (only the select-tree root changes
  * between modes, §2.1.1), so the trees here simply consume the
- * queue's logical-order ready bitmap: each tree walks set bits
- * with std::countr_zero (lowest logical position = oldest =
- * highest priority first) and serialization is a bit clear in a
- * scratch copy of the mask — no per-entry scan, no per-request
- * granted vector.
+ * queue's logical-order ready bitmap: each tree grants the lowest
+ * set bit (oldest = highest priority) of the not-yet-granted ready
+ * entries ANDed with its eligibility mask, and serialization is a
+ * bit clear in a scratch copy of the ready mask — no per-entry
+ * scan, no per-candidate callback.
  */
 
 #ifndef TEMPEST_UARCH_SELECT_HH
@@ -61,21 +61,25 @@ class SelectNetwork
     bool roundRobin() const { return roundRobin_; }
 
     /**
-     * Run one cycle of select.
+     * Run one cycle of select over logical-order masks, each
+     * iq.bitWords() words long.
      *
-     * @param iq the queue to select from
+     * @param iq the queue to select from (its ready bitmap)
      * @param cycle current cycle (drives round-robin rotation)
      * @param max_grants remaining global issue budget
-     * @param fu_available callable bool(int fu): busy/turnoff mask
-     * @param can_use callable bool(int fu, OpClass): class and
-     *        port eligibility; must be side-effect free
+     * @param fu_on bit fu set iff FU fu may take work; an off FU's
+     *        tree grants nothing and masks nothing
+     * @param elig elig[fu]: the entries tree fu may take
+     * @param limited entries that share a port budget, or nullptr
+     * @param limit grants `limited` entries may take this cycle;
+     *        once spent, the later trees skip them (L1D ports)
      * @param grants output; grants are appended in tree order
      * @return number of grants appended
      */
-    template <typename FuAvailable, typename CanUse>
     int
     select(const IssueQueue& iq, std::uint64_t cycle, int max_grants,
-           FuAvailable&& fu_available, CanUse&& can_use,
+           std::uint64_t fu_on, const std::uint64_t* const* elig,
+           const std::uint64_t* limited, int limit,
            std::vector<Grant>& grants)
     {
         if (max_grants <= 0)
@@ -95,31 +99,28 @@ class SelectNetwork
             return 0;
 
         int num_granted = 0;
-        const int offset =
-            roundRobin_ ? static_cast<int>(cycle % numFus_) : 0;
+        int fu = roundRobin_ ? static_cast<int>(cycle % numFus_) : 0;
         for (int t = 0; t < numFus_ && num_granted < max_grants;
-             ++t) {
-            const int fu = (t + offset) % numFus_;
-            if (!fu_available(fu))
+             ++t, fu = fu + 1 == numFus_ ? 0 : fu + 1) {
+            if (((fu_on >> fu) & 1) == 0)
                 continue; // busy/turned-off: no grant, no masking
-            bool granted = false;
-            for (int w = 0; w < num_words && !granted; ++w) {
-                std::uint64_t m =
+            const std::uint64_t* e = elig[fu];
+            for (int w = 0; w < num_words; ++w) {
+                std::uint64_t& avail =
                     avail_[static_cast<std::size_t>(w)];
-                while (m != 0) {
-                    const int bit = std::countr_zero(m);
-                    m &= m - 1;
-                    const int phys =
-                        iq.physOfLogical(w * 64 + bit);
-                    if (!can_use(fu, iq.opClassAt(phys)))
-                        continue;
-                    avail_[static_cast<std::size_t>(w)] &=
-                        ~(1ULL << bit);
-                    grants.push_back({fu, phys});
-                    ++num_granted;
-                    granted = true;
-                    break;
-                }
+                std::uint64_t m = avail & e[w];
+                if (limited != nullptr && limit <= 0)
+                    m &= ~limited[w];
+                if (m == 0)
+                    continue;
+                const std::uint64_t bit = m & (~m + 1);
+                avail &= ~bit;
+                if (limited != nullptr && (limited[w] & bit) != 0)
+                    --limit;
+                grants.push_back(
+                    {fu, iq.physOfLogical(w * 64 + std::countr_zero(m))});
+                ++num_granted;
+                break;
             }
         }
         return num_granted;

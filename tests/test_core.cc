@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/rng.hh"
+#include "sim/checkpoint/stateio.hh"
 #include "uarch/core.hh"
 
 namespace tempest
@@ -313,6 +317,101 @@ TEST(Core, WritebackWakesBeyondSixtyFourSameCycleCompletions)
     // One tag-broadcast charge per completing destination.
     EXPECT_EQ(act.iqTagBroadcasts[0],
               static_cast<std::uint64_t>(kProducers));
+}
+
+/** Every byte of a core's checkpointed state: the core, then the
+ * components CmpSimulator::saveEngineContext writes after it. */
+std::string
+coreStateBytes(const OooCore& core)
+{
+    StateWriter w;
+    core.saveState(w);
+    core.intQueue().saveState(w);
+    core.fpQueue().saveState(w);
+    core.alus().saveState(w);
+    core.intRegfile().saveState(w);
+    core.caches().saveState(w);
+    core.stream().saveState(w);
+    return w.bytes();
+}
+
+std::string
+activityBytes(const ActivityRecord& a)
+{
+    StateWriter w;
+    saveActivity(w, a);
+    return w.bytes();
+}
+
+/**
+ * Differential test of the idle skip: advance(n) against n tick()
+ * calls on a memory-bound, a pointer-chasing and a busy benchmark,
+ * with both cores steered the same way between chunks (queue
+ * toggles, ALU and FP-adder turnoff, fetch throttling, cooling
+ * stalls that leave completions in the wheel, round-robin select
+ * and register-file mappings). The saved state and the activity
+ * must be equal after every chunk.
+ */
+TEST(Core, AdvanceMatchesTickLoop)
+{
+    for (const char* bench : {"art", "mcf", "eon"}) {
+        SCOPED_TRACE(bench);
+        PipelineConfig cfg;
+        OooCore fast(cfg, spec2000(bench), 7);
+        OooCore slow(cfg, spec2000(bench), 7);
+        ActivityRecord act_fast;
+        ActivityRecord act_slow;
+        Rng rng(11);
+        for (int chunk = 0; chunk < 80; ++chunk) {
+            const std::uint64_t n = 1 + rng.below(3000);
+            fast.advance(n, act_fast);
+            for (std::uint64_t c = 0; c < n; ++c)
+                slow.tick(act_slow);
+            ASSERT_EQ(coreStateBytes(fast), coreStateBytes(slow))
+                << "chunk " << chunk;
+            ASSERT_EQ(activityBytes(act_fast), activityBytes(act_slow))
+                << "chunk " << chunk;
+
+            const auto steer = [&](OooCore& core, std::uint64_t what,
+                                   int unit, bool off, int value) {
+                switch (what) {
+                  case 0: core.intQueue().toggleMode(); break;
+                  case 1: core.fpQueue().toggleMode(); break;
+                  case 2:
+                    core.alus().setIntAluOff(
+                        unit % cfg.numIntAlus,
+                        TurnoffReason::UnitThermal, off);
+                    break;
+                  case 3:
+                    core.alus().setFpAdderOff(
+                        unit % cfg.numFpAdders,
+                        TurnoffReason::UnitThermal, off);
+                    break;
+                  case 4: core.setFetchInterval(1 + value % 4); break;
+                  case 5: {
+                      ActivityRecord& act =
+                          &core == &fast ? act_fast : act_slow;
+                      core.stallCycles(
+                          static_cast<std::uint64_t>(value), act);
+                      break;
+                  }
+                  case 6: core.setRoundRobin(!core.roundRobin()); break;
+                  default:
+                    core.intRegfile().setMapping(
+                        static_cast<PortMapping>(value % 3));
+                    break;
+                }
+            };
+            const std::uint64_t what = rng.below(8);
+            const int unit = static_cast<int>(rng.below(8));
+            const bool off = rng.chance(0.5);
+            const int value = static_cast<int>(1 + rng.below(600));
+            steer(fast, what, unit, off, value);
+            steer(slow, what, unit, off, value);
+        }
+        EXPECT_EQ(fast.cycle(), slow.cycle());
+        EXPECT_GT(fast.committed(), 0u);
+    }
 }
 
 TEST(Core, RobAndLsqBounded)

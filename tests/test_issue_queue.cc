@@ -11,18 +11,33 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "sim/checkpoint/stateio.hh"
 #include "uarch/issue_queue.hh"
 
 namespace tempest
 {
 
-/** Test-only access to the reference compaction pass. */
+/** Test-only access to the reference compaction pass and the
+ * scalar twins of the vector tag and class compares. */
 struct IqTestPeer
 {
     static void
     compactGeneric(IssueQueue& iq, ActivityRecord& act)
     {
         iq.compactStepImpl(act, true);
+    }
+
+    static void
+    wakeupScalar(IssueQueue& iq, const std::uint64_t* seqs, int n)
+    {
+        iq.wakeupImpl(seqs, n, true);
+    }
+
+    static void
+    classMaskScalar(const IssueQueue& iq, OpClass lo, OpClass hi,
+                    std::uint64_t* out)
+    {
+        iq.classMaskImpl(lo, hi, out, true);
     }
 };
 
@@ -536,6 +551,226 @@ TEST(IssueQueue, WordAndGenericCompactionAgree)
                       act_b.iqClockGateCycles[0]);
             ASSERT_EQ(act_a.iqTagBroadcasts[0],
                       act_b.iqTagBroadcasts[0]);
+        }
+    }
+}
+
+/** Serialized queue state, for whole-state equality. */
+std::string
+stateBytes(const IssueQueue& iq)
+{
+    StateWriter w;
+    iq.saveState(w);
+    return w.bytes();
+}
+
+/** One entry of the naive wakeup model: the producer each source
+ * still waits on (0 = none). */
+struct ModelEntry
+{
+    std::uint64_t seq;
+    std::uint64_t wait[2];
+};
+
+/**
+ * Differential test of the tag-compare wakeup: a queue using the
+ * vector compare and one pinned to the scalar twin run in lockstep
+ * with a naive model that recomputes every entry's needs and ready
+ * state from scratch. Random dispatch (sources on in-flight or
+ * completed producers), wakeups of up to every in-flight producer
+ * at once (past 64 in one call on the large queues) mixed with
+ * seqs that alias a waited producer's low 16 bits, issue, mode
+ * toggles and compaction. Every cycle the two queues' saved states
+ * must be equal and each entry's needs and ready bits must match
+ * the model.
+ */
+void
+wakeupDifferential(int entries, std::uint64_t seed)
+{
+    IssueQueue vec(entries, 6, QueueKind::Int);
+    IssueQueue ref(entries, 6, QueueKind::Int);
+    ActivityRecord act_v;
+    ActivityRecord act_r;
+    Rng rng(seed);
+    std::vector<ModelEntry> model;
+    std::vector<std::uint64_t> inflight; // producers not yet woken
+    std::uint64_t next_seq = 1;
+    std::uint64_t next_producer = 1000000;
+    std::vector<int> ready_phys;
+    std::vector<std::uint64_t> wake;
+    int max_wake = 0;
+    for (int cycle = 0; cycle < 2000; ++cycle) {
+        while (vec.canDispatch() && rng.chance(0.6)) {
+            IqEntry e;
+            e.seq = next_seq++;
+            e.numSrcs = static_cast<int>(rng.below(3));
+            ModelEntry m{e.seq, {0, 0}};
+            for (int k = 0; k < e.numSrcs; ++k) {
+                if (rng.chance(0.35)) {
+                    e.src[k] = 1 + rng.below(900000); // completed
+                    continue;
+                }
+                if (inflight.empty() || rng.chance(0.7))
+                    inflight.push_back(next_producer++);
+                e.src[k] = inflight[rng.below(inflight.size())];
+                e.srcReady[k] = false;
+                m.wait[k] = e.src[k];
+            }
+            vec.dispatch(e, act_v);
+            ref.dispatch(e, act_r);
+            model.push_back(m);
+        }
+
+        // Phases: producers pile up for 150 cycles (a miss
+        // shadow), then all wake at once, then a few at a time.
+        const int phase = cycle % 200;
+        if (!inflight.empty() && phase >= 150 &&
+            (phase == 150 || rng.chance(0.5))) {
+            wake.clear();
+            const std::size_t n =
+                phase == 150 ? inflight.size()
+                             : 1 + rng.below(std::min<std::size_t>(
+                                       8, inflight.size()));
+            for (std::size_t i = 0; i < n; ++i) {
+                const std::size_t j = rng.below(inflight.size());
+                wake.push_back(inflight[j]);
+                inflight[j] = inflight.back();
+                inflight.pop_back();
+            }
+            // Seqs with the low 16 bits of a producer that stays in
+            // flight: a tag hit the full-seq check must reject.
+            for (std::size_t i = 0; i < inflight.size(); ++i) {
+                if (rng.chance(0.3))
+                    wake.push_back(inflight[i] +
+                                   (65536ULL << rng.below(3)));
+            }
+            max_wake = std::max(max_wake, static_cast<int>(wake.size()));
+            vec.wakeup(wake.data(), static_cast<int>(wake.size()));
+            IqTestPeer::wakeupScalar(ref, wake.data(),
+                                     static_cast<int>(wake.size()));
+            for (ModelEntry& m : model) {
+                for (std::uint64_t& w : m.wait) {
+                    if (w != 0 &&
+                        std::find(wake.begin(), wake.end(), w) != wake.end())
+                        w = 0;
+                }
+            }
+        }
+
+        // A lone seq with an in-flight producer's tag but other high
+        // bits: its tag hits must all be rejected.
+        if (!inflight.empty() && rng.chance(0.2)) {
+            const std::uint64_t alias =
+                inflight[rng.below(inflight.size())] +
+                (65536ULL << rng.below(3));
+            vec.wakeup(&alias, 1);
+            IqTestPeer::wakeupScalar(ref, &alias, 1);
+        }
+
+        ready_phys.clear();
+        vec.forEachReadyInPriorityOrder([&](int p, const IqEntry&) {
+            ready_phys.push_back(p);
+            return true;
+        });
+        for (const int p : ready_phys) {
+            if (!rng.chance(0.4))
+                continue;
+            const std::uint64_t seq = vec.entryAtPhys(p).seq;
+            vec.markIssued(p, act_v);
+            ref.markIssued(p, act_r);
+            model.erase(std::find_if(model.begin(), model.end(),
+                                     [seq](const ModelEntry& m) {
+                                         return m.seq == seq;
+                                     }));
+        }
+        if (rng.chance(0.03)) {
+            vec.toggleMode();
+            ref.toggleMode();
+        }
+        vec.compactStep(act_v);
+        ref.compactStep(act_r);
+
+        ASSERT_EQ(stateBytes(vec), stateBytes(ref)) << "cycle " << cycle;
+        int live = 0, waiting = 0;
+        for (int l = 0; l < entries; ++l) {
+            const int p = vec.physOfLogical(l);
+            const IqEntry e = vec.entryAtPhys(p);
+            const bool ready_bit = (vec.readyBits()[l >> 6] >> (l & 63)) & 1;
+            if (!e.valid || e.pendingInvalid) {
+                ASSERT_FALSE(ready_bit) << "cycle " << cycle;
+                continue;
+            }
+            ++live;
+            const auto it = std::find_if(
+                model.begin(), model.end(),
+                [&e](const ModelEntry& m) { return m.seq == e.seq; });
+            ASSERT_NE(it, model.end()) << "cycle " << cycle;
+            ASSERT_EQ(e.srcReady[0], it->wait[0] == 0)
+                << "cycle " << cycle << " seq " << e.seq;
+            ASSERT_EQ(e.srcReady[1], it->wait[1] == 0)
+                << "cycle " << cycle << " seq " << e.seq;
+            ASSERT_EQ(ready_bit, it->wait[0] == 0 && it->wait[1] == 0)
+                << "cycle " << cycle << " seq " << e.seq;
+            waiting += it->wait[0] != 0 || it->wait[1] != 0;
+        }
+        ASSERT_EQ(live, static_cast<int>(model.size()));
+        ASSERT_EQ(vec.waitingCount(), waiting);
+    }
+    if (entries > 64) {
+        EXPECT_GT(max_wake, 64) << "no wakeup past 64 seqs";
+    }
+}
+
+TEST(IssueQueue, TagWakeupMatchesNaiveModel)
+{
+    for (const int entries : {8, 32, 34, 130}) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            SCOPED_TRACE(::testing::Message()
+                         << entries << " entries, seed " << seed);
+            wakeupDifferential(entries, seed);
+        }
+    }
+}
+
+TEST(IssueQueue, VectorClassMaskMatchesScalarTwin)
+{
+    for (const int entries : {8, 32, 34, 64, 130}) {
+        IssueQueue iq(entries, 6, QueueKind::Int);
+        ActivityRecord act;
+        Rng rng(static_cast<std::uint64_t>(entries));
+        std::uint64_t seq = 1;
+        std::vector<std::uint64_t> got(
+            static_cast<std::size_t>(iq.bitWords()));
+        std::vector<std::uint64_t> want(got.size());
+        for (int cycle = 0; cycle < 500; ++cycle) {
+            while (iq.canDispatch() && rng.chance(0.7)) {
+                IqEntry e = makeEntry(seq++);
+                e.cls = static_cast<OpClass>(rng.below(
+                    static_cast<std::uint64_t>(OpClass::NumOpClasses)));
+                iq.dispatch(e, act);
+            }
+            iq.forEachReadyInPriorityOrder([&](int p, const IqEntry&) {
+                if (rng.chance(0.3))
+                    iq.markIssued(p, act);
+                return true;
+            });
+            if (rng.chance(0.05))
+                iq.toggleMode();
+            iq.compactStep(act);
+            const auto lo = static_cast<OpClass>(rng.below(7));
+            const auto hi = static_cast<OpClass>(
+                static_cast<int>(lo) +
+                static_cast<int>(rng.below(7 - static_cast<int>(lo))));
+            iq.classMask(lo, hi, got.data());
+            IqTestPeer::classMaskScalar(iq, lo, hi, want.data());
+            for (int w = 0; w < iq.bitWords(); ++w) {
+                const int n = std::min(64, entries - 64 * w);
+                const std::uint64_t in =
+                    n >= 64 ? ~0ULL : (1ULL << n) - 1;
+                ASSERT_EQ(got[static_cast<std::size_t>(w)] & in,
+                          want[static_cast<std::size_t>(w)] & in)
+                    << entries << " entries, cycle " << cycle;
+            }
         }
     }
 }

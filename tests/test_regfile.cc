@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/log.hh"
+#include "sim/checkpoint/stateio.hh"
 #include "uarch/regfile.hh"
 
 namespace tempest
@@ -112,6 +113,25 @@ TEST(RegisterFile, RejectsUnevenAluSplit)
 {
     EXPECT_THROW(RegisterFile(2, 5, PortMapping::Priority),
                  FatalError);
+}
+
+TEST(RegisterFile, RestoreRejectsAnUnknownMapping)
+{
+    // chargeReads() reads a per-ALU table that only the known
+    // mappings fill, so a corrupt mapping byte must not restore.
+    RegisterFile rf(2, 6, PortMapping::Priority);
+    StateWriter w;
+    rf.saveState(w);
+    std::string bytes = w.bytes();
+    bytes.back() = 7;
+    StateReader r(bytes);
+    EXPECT_THROW(rf.loadState(r), FatalError);
+
+    StateReader good(w.bytes());
+    rf.setMapping(PortMapping::Balanced);
+    rf.loadState(good);
+    EXPECT_EQ(rf.mapping(), PortMapping::Priority);
+    EXPECT_EQ(rf.copyForAlu(1), 0);
 }
 
 TEST(RegisterFile, MappingNames)

@@ -303,6 +303,25 @@ fatalMessage(Fn&& fn)
     return "";
 }
 
+TEST(SimConfigIo, CachedPropagatorCountBeyondIntIsFatal)
+{
+    // Regression: the count was narrowed to int after a lower-bound
+    // check only, so 2^32 + 4 ran with a cache of 4.
+    for (const char* bad : {"4294967300", "2147483648"}) {
+        Config cfg;
+        cfg.set("thermal.max_cached_propagators", bad);
+        const std::string what = fatalMessage(
+            [&] { simConfigFromConfig(cfg); });
+        EXPECT_NE(what.find("thermal.max_cached_propagators"),
+                  std::string::npos)
+            << bad << ": " << what;
+    }
+    Config largest;
+    largest.set("thermal.max_cached_propagators", "2147483647");
+    EXPECT_EQ(simConfigFromConfig(largest).thermal.maxCachedPropagators,
+              2147483647);
+}
+
 TEST(SimConfigIo, UnknownKeyIsFatalNamingIt)
 {
     Config sim;

@@ -54,6 +54,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -232,9 +233,16 @@ main(int argc, char** argv)
             (single ? sim.config().benchmarks.front() : "cmp") +
             ".ckpt";
 
-        ThermalTrace trace(
-            sim.floorplan(),
-            static_cast<int>(cfg.getInt("run.trace_stride", 1)));
+        const std::int64_t trace_stride =
+            cfg.getInt("run.trace_stride", 1);
+        if (trace_stride < 1 ||
+            trace_stride > std::numeric_limits<int>::max()) {
+            fatal("run.trace_stride must be in [1, ",
+                  std::numeric_limits<int>::max(), "] (got ",
+                  trace_stride, ")");
+        }
+        ThermalTrace trace(sim.floorplan(),
+                           static_cast<int>(trace_stride));
         const std::string trace_path =
             cfg.getString("run.trace_csv", "");
         if (!trace_path.empty())

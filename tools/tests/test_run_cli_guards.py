@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regression tests for tempest_run's argument hardening.
 
-Four historical bugs, all of the silently-wrong variety:
+Five historical bugs, all of the silently-wrong variety:
 
   * a negative [run] cycles value passed through getInt() was cast
     straight to uint64_t, wrapped to ~1.8e19, and ran "forever" —
@@ -12,7 +12,9 @@ Four historical bugs, all of the silently-wrong variety:
   * a key nothing reads (a typo such as dtm.togling, or a bare
     "cycles") was ignored, and the run took the default instead;
   * a dtm.cooling_time of -1 or 1e30 was cast to a cycle count
-    unchecked (UB) and the run never finished; 0 stalled nothing.
+    unchecked (UB) and the run never finished; 0 stalled nothing;
+  * run.trace_stride was narrowed to int unchecked, so 4294967297
+    recorded every sample, as stride 1 would.
 
 Usage: test_run_cli_guards.py <tempest_run binary>
 """
@@ -118,6 +120,15 @@ def main():
         except subprocess.TimeoutExpired:
             ok = False
         check(ok, f"dtm.cooling_time = {bad} is rejected quickly")
+
+    # A trace stride outside int range is rejected naming the key,
+    # not wrapped to a small stride.
+    with tempfile.TemporaryDirectory() as d:
+        for bad in ("4294967297", "-4294967295", "0"):
+            r = run(binary, FAST, f"run.trace_stride = {bad}",
+                    f"run.trace_csv = {d}/trace.csv")
+            check(r.returncode == 1 and "run.trace_stride" in r.stderr,
+                  f"run.trace_stride = {bad} is rejected naming the key")
 
     if failures:
         print(f"\n{len(failures)} check(s) FAILED")
