@@ -5,7 +5,8 @@
  * Runs a representative sweep (Table 4's IQ base + toggling
  * configs over art, facerec and mesa) and prints the profiler
  * breakdown: which pipeline stage or interval-level model the
- * simulator spends its time in. Requires a build configured with
+ * simulator spends its time in, and how many idle cycles the core
+ * skipped without running a stage. Requires a build configured with
  * -DTEMPEST_PROFILE=ON; otherwise it explains how to get one and
  * exits successfully (so it can live in any build).
  *
@@ -44,8 +45,13 @@ main()
                                   cycles);
     }
 
-    std::printf("per-stage breakdown over %llu cycles x 6 runs\n",
-                static_cast<unsigned long long>(cycles));
+    // The stage rows cover ticked cycles only: the idle runs that
+    // OooCore::advance jumps (and any cooling stall) run no stage.
+    std::printf("per-stage breakdown over %llu cycles x 6 runs, "
+                "%llu idle cycles skipped outside the stages\n",
+                static_cast<unsigned long long>(cycles),
+                static_cast<unsigned long long>(
+                    Profiler::instance().skipped()));
     Profiler::instance().report(stdout);
     return 0;
 #endif

@@ -8,7 +8,9 @@
  * stage (fetch/dispatch/issue/writeback/compact/commit) and each
  * interval-level model (power/thermal/sensor/DTM) is wrapped in a
  * scoped timer that accumulates TSC ticks into a process-global
- * table; bench_profile prints the breakdown.
+ * table; bench_profile prints the breakdown. Idle cycles that
+ * OooCore::advance jumps without a tick() run no stage, so they are
+ * counted apart (skipped()) and the stage rows cover ticked cycles.
  *
  * The timers sit inside the per-simulated-cycle hot loop, so the
  * instrumented build is measurably slower than release — enable it
@@ -104,11 +106,25 @@ class Profiler
         ++calls_[static_cast<int>(stage)];
     }
 
+    /** Count idle cycles jumped without running any stage. */
+    void
+    addSkipped(std::uint64_t cycles)
+    {
+        skipped_ += cycles;
+    }
+
+    std::uint64_t
+    skipped() const
+    {
+        return skipped_;
+    }
+
     void
     reset()
     {
         for (int i = 0; i < kNum; ++i)
             ticks_[i] = calls_[i] = 0;
+        skipped_ = 0;
     }
 
     /** Print a sorted-percentage breakdown table. */
@@ -143,6 +159,7 @@ class Profiler
         static_cast<int>(ProfStage::NumStages);
     std::uint64_t ticks_[kNum] = {};
     std::uint64_t calls_[kNum] = {};
+    std::uint64_t skipped_ = 0;
 };
 
 /** RAII timer attributing its lifetime to one stage. */
@@ -171,11 +188,14 @@ class ScopedStageTimer
 #define TEMPEST_PROF_SCOPE(stage)                                  \
     ::tempest::ScopedStageTimer TEMPEST_PROF_CAT(prof_timer_,      \
                                                  __LINE__)(stage)
+#define TEMPEST_PROF_SKIPPED(cycles)                               \
+    ::tempest::Profiler::instance().addSkipped(cycles)
 #define TEMPEST_PROF_ENABLED 1
 
 #else // !TEMPEST_PROFILE
 
 #define TEMPEST_PROF_SCOPE(stage) ((void)0)
+#define TEMPEST_PROF_SKIPPED(cycles) ((void)0)
 #define TEMPEST_PROF_ENABLED 0
 
 #endif // TEMPEST_PROFILE

@@ -21,8 +21,9 @@ Cache::Cache(std::uint64_t size_bytes, int ways,
     sets_ = static_cast<int>(size_bytes / (line_bytes * ways));
     if (sets_ < 1)
         fatal("cache must have at least one set");
-    if (std::has_single_bit(static_cast<unsigned>(sets_)))
-        setShift_ = std::countr_zero(static_cast<unsigned>(sets_));
+    if (!std::has_single_bit(static_cast<unsigned>(sets_)))
+        fatal("cache set count must be a power of two, got ", sets_);
+    setShift_ = std::countr_zero(static_cast<unsigned>(sets_));
     lines_.assign(static_cast<std::size_t>(sets_) * ways_, Way{});
 }
 

@@ -27,7 +27,8 @@ class StateReader;
  * One level of set-associative cache with LRU replacement.
  *
  * Addresses are cache-line numbers (byte address / line size); the
- * cache is indexed by the low bits of the line number.
+ * cache is indexed by the low bits of the line number, so the set
+ * count must be a power of two.
  */
 class Cache
 {
@@ -79,28 +80,23 @@ class Cache
 
     int findWay(int set, std::uint64_t tag) const;
 
-    /** Set index of a line address: a mask when the set count is a
-     * power of two (both shipped caches), else a remainder. */
+    /** Set index of a line address: its low log2(sets_) bits. */
     int
     setOf(std::uint64_t line_addr) const
     {
-        const auto sets = static_cast<std::uint64_t>(sets_);
-        return static_cast<int>(setShift_ >= 0 ? line_addr & (sets - 1)
-                                               : line_addr % sets);
+        return static_cast<int>(line_addr &
+                                (static_cast<std::uint64_t>(sets_) - 1));
     }
 
     /** Tag of a line address: the bits above the set index. */
     std::uint64_t
     tagOf(std::uint64_t line_addr) const
     {
-        return setShift_ >= 0
-                   ? line_addr >> setShift_
-                   : line_addr / static_cast<std::uint64_t>(sets_);
+        return line_addr >> setShift_;
     }
 
     int sets_;
-    // ckpt:skip(derived: log2(sets_) for a power of two, else -1)
-    int setShift_ = -1;
+    int setShift_; // ckpt:skip(derived: log2(sets_))
     int ways_;
     std::vector<Way> lines_; ///< sets_ * ways_, row-major by set
     std::uint64_t useClock_ = 0;

@@ -586,6 +586,7 @@ OooCore::advance(std::uint64_t cycles, ActivityRecord& activity)
         fpIq_.chargeCycles(n, activity);
         cycle_ += n;
         activity.cycles += n;
+        TEMPEST_PROF_SKIPPED(n);
     }
 }
 

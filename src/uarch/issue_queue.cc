@@ -301,24 +301,13 @@ IssueQueue::wakeupImpl(const std::uint64_t* producer_seqs, int n,
 {
     if (n <= 0)
         return;
-    // A tag hit is a real one only if the whole seq matches. When
-    // every completing seq shares its bits above the tag (all but
-    // a cycle that crosses a 2^16 boundary), that is one compare of
-    // the source's high bits; otherwise search the list.
+    // A tag hit is a real one only if the whole seq matches.
     const auto* seqs_end = producer_seqs + n;
-    const std::uint64_t high = producer_seqs[0] >> 16;
-    bool one_high = true;
-    for (int t = 1; t < n; ++t)
-        one_high &= (producer_seqs[t] >> 16) == high;
     const auto confirm = [&](std::uint64_t& hit,
                              const std::uint64_t* src) {
         for (std::uint64_t m = hit; m != 0; m &= m - 1) {
             const int i = std::countr_zero(m);
-            const bool real =
-                one_high ? (src[i] >> 16) == high
-                         : std::find(producer_seqs, seqs_end, src[i]) !=
-                               seqs_end;
-            if (!real)
+            if (std::find(producer_seqs, seqs_end, src[i]) == seqs_end)
                 hit &= ~(1ULL << i);
         }
     };

@@ -26,6 +26,7 @@ TEST(Cache, RejectsBadGeometry)
 {
     EXPECT_THROW(Cache(1000, 3, 64), FatalError);
     EXPECT_THROW(Cache(64 * 1024, 0, 64), FatalError);
+    EXPECT_THROW(Cache(3 * 2 * 64, 2, 64), FatalError); // 3 sets
 }
 
 TEST(Cache, ColdMissThenHit)

@@ -160,6 +160,18 @@ TEST(StageProfiler, ResetZeroesTheTable)
     EXPECT_EQ(parseReport(rows), 0);
 }
 
+TEST(StageProfiler, SkippedCyclesCountApartFromTheStages)
+{
+    Profiler::instance().reset();
+    TEMPEST_PROF_SKIPPED(5);
+    TEMPEST_PROF_SKIPPED(7);
+    EXPECT_EQ(Profiler::instance().skipped(), 12u);
+    ReportRow rows[kNumStages];
+    EXPECT_EQ(parseReport(rows), 0); // no stage was charged
+    Profiler::instance().reset();
+    EXPECT_EQ(Profiler::instance().skipped(), 0u);
+}
+
 TEST(StageProfiler, ScopedTimerChargesItsStageOnly)
 {
     Profiler::instance().reset();

@@ -9,8 +9,11 @@ This check builds the attribution story end to end: it runs
 bench_profile from a -DTEMPEST_PROFILE=ON build and fails unless
 
   * every pipeline/interval stage appears in the report,
-  * every stage accumulated nonzero ticks and calls, and
-  * the share column sums to ~100%.
+  * every stage accumulated nonzero ticks and calls,
+  * the share column sums to ~100%, and
+  * the header counts the idle cycles OooCore::advance skipped
+    (they run no stage): some were skipped, and ticked plus skipped
+    cycles do not exceed the cycles simulated.
 
 Usage:
     python3 tools/check_profile_report.py [--build-dir build-prof]
@@ -33,6 +36,9 @@ EXPECTED_STAGES = [
 
 ROW_RE = re.compile(
     r"^\s*(\S+)\s+(\d+)\s+([0-9.]+)%\s+(\d+)\s+([0-9.]+)\s*$")
+HEADER_RE = re.compile(
+    r"^per-stage breakdown over (\d+) cycles x (\d+) runs, "
+    r"(\d+) idle cycles skipped outside the stages$")
 
 
 def repo_root():
@@ -101,8 +107,24 @@ def main():
         return fail(f"share column sums to {total_share:.2f}%, "
                     "expected ~100%")
 
+    header = [m for m in map(HEADER_RE.match, proc.stdout.splitlines())
+              if m]
+    if len(header) != 1:
+        return fail("report header with the skipped idle cycle count "
+                    "not found")
+    cycles, runs, skipped = (int(g) for g in header[0].groups())
+    # Every tick() runs the fetch stage exactly once.
+    ticked = rows["fetch"][2]
+    if skipped == 0:
+        return fail("no idle cycles skipped; OooCore::advance's count "
+                    "is not reaching the profiler")
+    if ticked + skipped > cycles * runs:
+        return fail(f"{ticked} ticked + {skipped} skipped cycles "
+                    f"exceed the {cycles * runs} simulated")
+
     print(f"bench-profile-smoke: {len(rows)} stages, shares sum to "
-          f"{total_share:.2f}% — OK")
+          f"{total_share:.2f}%, {ticked} cycles ticked and {skipped} "
+          "skipped idle — OK")
     return 0
 
 
